@@ -18,7 +18,6 @@ from .core import (
 from .data import AugmentConfig, SynthConfig, generate_synthetic, load_csv, save_csv
 from .loss import (
     EmbeddingBatch,
-    pair_likelihood,
     similarity,
     survrnc_loss,
     survrnc_loss_and_grad,
@@ -84,7 +83,6 @@ __all__ = [
     "lambda_sweep",
     "load_checkpoint",
     "load_csv",
-    "pair_likelihood",
     "pair_threshold",
     "save_checkpoint",
     "save_csv",

@@ -3,24 +3,24 @@
 For every ordered (anchor, positive) pair the loss contrasts the pair's
 similarity against the members ranked at least as far from the anchor in
 time, weighting censoring-uncertain members by lambda. Similarity is
-negative Euclidean distance; the softmax-style denominator is computed
-with max-subtraction because sim/temperature can be large-magnitude
-negative.
+negative Euclidean distance.
+
+One kernel serves every batch size in O(B^2 log B) time and O(B^2)
+memory. Each pair's denominator is a suffix sum over the anchor's row
+sorted by interval bound, and each member's gradient weight a prefix sum
+over the same order. Both sums run in log space, so no denominator
+underflows however far apart the embeddings lie.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .core import LossConfig
-from .pairsets import PairSets, delta_bound_matrices, pair_set_masks
-
-# below this batch size the dense (B^3) path beats the sorted path's
-# per-anchor overhead; it also stays the reference implementation
-_DENSE_CUTOFF = 16
+from .pairsets import delta_bound_matrices
 
 
 class LengthMismatchError(ValueError):
@@ -63,32 +63,6 @@ def similarity(u: np.ndarray, v: np.ndarray) -> float:
     return -float(np.linalg.norm(u - v))
 
 
-def pair_likelihood(batch: EmbeddingBatch, a: int, p: int, sets: PairSets,
-                    cfg: LossConfig) -> float:
-    """Normalized likelihood of the (a, p) pair against its ranked sets.
-
-    exp(sim(a,p)/tau) over the negative-set sum plus lambda times the
-    uncertain-set sum. Always in (0, 1] because p itself sits in the
-    negatives.
-    """
-    if not sets.negatives:
-        raise ValueError("negatives must be nonempty (p is always promoted)")
-    v = batch.embeddings
-    tau = cfg.temperature
-    neg = sorted(sets.negatives)
-    unc = sorted(sets.uncertains)
-    x_neg = np.array([similarity(v[a], v[k]) / tau for k in neg])
-    x_p = similarity(v[a], v[p]) / tau
-    if cfg.lam > 0 and unc:
-        x_unc = np.array([similarity(v[a], v[k]) / tau for k in unc])
-        m = max(x_neg.max(), x_unc.max())
-        denom = np.exp(x_neg - m).sum() + cfg.lam * np.exp(x_unc - m).sum()
-    else:
-        m = x_neg.max()
-        denom = np.exp(x_neg - m).sum()
-    return float(np.exp(x_p - m) / denom)
-
-
 def total_loss(prognosis: float, survrnc: float, cfg: LossConfig) -> float:
     """Training objective: native prognosis loss plus beta times the contrast."""
     return prognosis + cfg.beta * survrnc
@@ -111,134 +85,94 @@ def survrnc_loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig):
     return _loss_and_grad(batch, cfg, want_grad=True)
 
 
+def _rank_order(theta: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Row-wise argsort of [theta | bound], thresholds ahead of bounds on ties.
+
+    Non-negative floats sort like their bit patterns. Shifting those left
+    drops the sign bit (set only by -0.0) and frees the low bit for the
+    tie-break, which is cheaper than a stable sort.
+    """
+    n = theta.shape[1]
+    keys = np.concatenate([theta, bound], axis=1).view(np.uint64) << 1
+    keys[:, n:] |= 1
+    return np.argsort(keys, axis=1)
+
+
+def _scan(values: np.ndarray, order: np.ndarray, reverse: bool) -> np.ndarray:
+    """Running log-sum-exp of each row of `values` taken in `order` (from
+    its end when `reverse`), returned in the original layout."""
+    ranked = np.take_along_axis(values, order, axis=1)
+    if reverse:
+        acc = np.logaddexp.accumulate(ranked[:, ::-1], axis=1)[:, ::-1]
+    else:
+        acc = np.logaddexp.accumulate(ranked, axis=1)
+    out = np.empty_like(acc)
+    np.put_along_axis(out, order, acc, axis=1)
+    return out
+
+
 def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
-    if batch.size <= _DENSE_CUTOFF:
-        return _loss_and_grad_dense(batch, cfg, want_grad)
-    result = _loss_and_grad_sorted(batch, cfg, want_grad)
-    if result is None:  # extreme similarity spread underflowed a denominator
-        return _loss_and_grad_dense(batch, cfg, want_grad)
-    return result
+    """The loss kernel.
 
-
-def _loss_and_grad_dense(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
-    v = batch.embeddings
-    n = batch.size
-    tau = cfg.temperature
-    diff = v[:, None, :] - v[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    x = -dist / tau  # sim / tau for every (a, k)
-
-    neg, unc = pair_set_masks(batch.events, batch.times)
-    active = (neg | unc) if cfg.lam > 0 else neg
-
-    # stable log-denominator: max over active members only, so lambda = 0
-    # cannot leak an uncertain member's similarity into the shift
-    x_bc = np.broadcast_to(x[:, None, :], (n, n, n))
-    m = np.max(x_bc, axis=2, where=active, initial=-np.inf)
-    wexp = np.zeros((n, n, n))
-    np.subtract(x_bc, m[:, :, None], out=wexp, where=active)
-    np.exp(wexp, out=wexp, where=active)  # inactive slots stay 0
-    if 0.0 < cfg.lam != 1.0:
-        wexp[unc] *= cfg.lam
-    denom = wexp.sum(axis=2)
-    idx = np.arange(n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        terms = -x + m + np.log(denom)
-    terms[idx, idx] = 0.0  # p = a is not a pair
-    num_pairs = n * (n - 1)
-    value = float(terms.sum() / num_pairs)
-
-    if not want_grad:
-        return value, None
-
-    safe_denom = denom.copy()
-    safe_denom[idx, idx] = 1.0
-    wexp /= safe_denom[:, :, None]  # now q[a, p, k]
-    wexp[idx, idx, :] = 0.0
-    # coefficient of each similarity x[a, k] in the summed loss
-    coeff = wexp.sum(axis=1)
-    coeff -= 1.0  # the -x[a, p] numerator term, once per valid (a, p)
-    coeff[idx, idx] = 0.0
-    coeff /= tau * num_pairs
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(dist[:, :, None] > 0, diff / dist[:, :, None], 0.0)
-    grad = -np.einsum("ak,akd->ad", coeff, unit) + np.einsum("ak,akd->kd", coeff, unit)
-    return value, grad
-
-
-def _loss_and_grad_sorted(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
-    """O(B^2 log B) path: denominators group by interval bounds.
-
-    For a fixed anchor, the negative set of every pair is a superlevel set
-    of the lo bounds (and uncertains of the hi bounds), so denominators
-    are suffix sums over bound-sorted similarities, and the per-member
-    gradient weights are prefix sums of 1/denominator over threshold-
-    sorted pairs. Tie handling matches the dense path exactly because the
-    same float comparisons decide membership. Returns None when a
-    denominator underflows (caller falls back to the dense path).
+    With x = sim / tau, the (a, p) denominator is
+        d = (1 - lam) N + lam H,
+    where N sums exp(x[a, k]) over the negatives k (lo[a, k] >= theta[a, p],
+    plus p itself when its own class is uncertain) and H over negatives and
+    uncertains (hi[a, k] >= theta[a, p]). Sorting row a of [theta | bound]
+    once per bound kind makes every such sum a suffix of the sorted row.
+    The gradient weight of member k sums 1/d over the pairs with
+    theta[a, p] <= bound[a, k]: a prefix of the same order.
     """
     v = batch.embeddings
     n = batch.size
-    tau = cfg.temperature
-    lam = cfg.lam
-    diff = v[:, None, :] - v[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    tau, lam = cfg.temperature, cfg.lam
+    dist = cdist(v, v)
     x = -dist / tau
+    x_k = x.copy()
+    np.fill_diagonal(x_k, -np.inf)  # k = a never participates
     lo, hi, theta = delta_bound_matrices(batch.events, batch.times)
+    promo = lo < theta  # p uncertain to itself: promoted to the negatives
+    kinds = [(bound, weight) for bound, weight in ((lo, 1.0 - lam), (hi, lam))
+             if weight > 0]
+    orders = [_rank_order(theta, bound) for bound, _ in kinds]
+    empty = np.full((n, n), -np.inf)
 
-    off_diag = ~np.eye(n, dtype=bool)
-    m = np.where(off_diag, x, -np.inf).max(axis=1)
-    expx = np.exp(x - m[:, None])
-    np.fill_diagonal(expx, 0.0)  # k = a never participates
-    # self-pairs whose own class is uncertain carry weight 1, not lambda
-    promo = lo < theta
-
-    denom = np.empty((n, n))
-    for a in range(n):
-        lo_order = np.argsort(lo[a], kind="stable")
-        lo_sorted = lo[a, lo_order]
-        lo_suffix = np.concatenate([
-            np.cumsum(expx[a, lo_order][::-1])[::-1], [0.0]])
-        s_lo = lo_suffix[np.searchsorted(lo_sorted, theta[a], side="left")]
-        if lam > 0:
-            hi_order = np.argsort(hi[a], kind="stable")
-            hi_sorted = hi[a, hi_order]
-            hi_suffix = np.concatenate([
-                np.cumsum(expx[a, hi_order][::-1])[::-1], [0.0]])
-            s_hi = hi_suffix[np.searchsorted(hi_sorted, theta[a], side="left")]
-            d = s_lo + lam * (s_hi - s_lo)
-        else:
-            d = s_lo.copy()
-        d += np.where(promo[a], (1.0 - lam) * expx[a], 0.0)
-        denom[a] = d
-    if not np.all(denom[off_diag] > 0.0):
-        return None
-
-    with np.errstate(divide="ignore"):
-        terms = -x + m[:, None] + np.log(denom)
-    np.fill_diagonal(terms, 0.0)
+    log_sums = [_scan(np.concatenate([empty, x_k], axis=1), order, True)[:, :n]
+                for order in orders]
+    if lam < 1:
+        log_sums[0] = np.where(promo, np.logaddexp(log_sums[0], x), log_sums[0])
+    if len(log_sums) == 1:
+        log_d = log_sums[0]
+    else:
+        log_n, log_h = log_sums
+        # H == N means no uncertain mass, and d is N exactly for every lam
+        log_d = np.where(log_h > log_n,
+                         np.logaddexp(np.log1p(-lam) + log_n, np.log(lam) + log_h),
+                         log_n)
+    # d >= exp(x[a, p]) because p sits in its own denominator with weight 1;
+    # rounding in the lam mix may undercut that by an ulp
+    terms = np.maximum(log_d - x, 0.0)
+    np.fill_diagonal(terms, 0.0)  # p = a is not a pair
     num_pairs = n * (n - 1)
     value = float(terms.sum() / num_pairs)
     if not want_grad:
         return value, None
 
-    inv_d = np.zeros((n, n))
-    inv_d[off_diag] = 1.0 / denom[off_diag]
-    coeff = np.empty((n, n))
-    for a in range(n):
-        th_order = np.argsort(theta[a], kind="stable")
-        th_sorted = theta[a, th_order]
-        th_prefix = np.concatenate([[0.0], np.cumsum(inv_d[a, th_order])])
-        r_lo = th_prefix[np.searchsorted(th_sorted, lo[a], side="right")]
-        r_hi = th_prefix[np.searchsorted(th_sorted, hi[a], side="right")]
-        q_sum = expx[a] * (r_lo + lam * (r_hi - r_lo))
-        q_sum += np.where(promo[a], (1.0 - lam) * expx[a] * inv_d[a], 0.0)
-        coeff[a] = q_sum - 1.0
+    neg_log_d = -log_d
+    np.fill_diagonal(neg_log_d, -np.inf)
+    # coeff[a, k] = d(summed terms) / d x[a, k]: each pair's own -x[a, p],
+    # plus the weight exp(x[a, k]) / d of k in every denominator holding it;
+    # those weights are <= 1 each, so no exp below overflows
+    coeff = np.full((n, n), -1.0)
+    for (_, weight), order in zip(kinds, orders):
+        log_r = _scan(np.concatenate([neg_log_d, empty], axis=1), order, False)[:, n:]
+        coeff += weight * np.exp(x_k + log_r)
+    if lam < 1:
+        coeff += np.where(promo, (1.0 - lam) * np.exp(x_k - log_d), 0.0)
     np.fill_diagonal(coeff, 0.0)
     coeff /= tau * num_pairs
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(dist[:, :, None] > 0, diff / dist[:, :, None], 0.0)
-    grad = -np.einsum("ak,akd->ad", coeff, unit) + np.einsum("ak,akd->kd", coeff, unit)
-    return value, grad
+    # d dist[a, k] / d v[a] = (v[a] - v[k]) / dist[a, k] = -d dist[a, k] / d v[k]
+    w = np.divide(coeff, dist, out=np.zeros_like(coeff), where=dist > 0)
+    s = w + w.T
+    return value, s @ v - s.sum(axis=1)[:, None] * v

@@ -155,7 +155,8 @@ def pair_set_masks(events: np.ndarray, times: np.ndarray):
     Returns boolean tensors (negative, uncertain) of shape (B, B, B) with
     the k = p self-promotion already applied, k = a slots and the
     meaningless p = a rows cleared. Must agree with `classify` /
-    `build_pair_sets` everywhere; this is the loss module's fast path.
+    `build_pair_sets` everywhere. O(B^3) memory: for inspection and for
+    checking the loss kernel, which works from `delta_bound_matrices`.
     """
     times = np.asarray(times, dtype=float)
     n = times.shape[0]

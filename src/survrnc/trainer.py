@@ -26,13 +26,20 @@ VAL_FRACTION = 0.2
 
 
 class NonFiniteLossError(RuntimeError):
-    def __init__(self, step: int, prognosis: float, survrnc: float):
+    """Training diverged: a value computed at `step` is NaN or infinite."""
+
+    def __init__(self, step: int, what: str):
         self.step = step
-        self.prognosis = prognosis
-        self.survrnc = survrnc
-        super().__init__(
-            f"non-finite loss at step {step}: prognosis={prognosis}, "
-            f"survrnc={survrnc}")
+        super().__init__(f"non-finite {what} at step {step}")
+
+
+class FeatureMismatchError(ValueError):
+    """A dataset's feature columns differ from the ones a model was trained on."""
+
+
+def _check_finite(step: int, what: str, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteLossError(step, what)
 
 
 @dataclass(frozen=True)
@@ -163,6 +170,19 @@ def _head_loss_and_grad(kind: str, output: heads.HeadOutput, events, times,
     return value, grad
 
 
+def _check_feature_names(model: TrainedModel, dataset: Dataset) -> None:
+    """Features are matched by position, so the names must agree in order."""
+    expected, got = tuple(model.feature_names), dataset.feature_names
+    if got == expected:
+        return
+    i = next((i for i, (e, g) in enumerate(zip(expected, got)) if e != g),
+             min(len(expected), len(got)))
+    want = repr(expected[i]) if i < len(expected) else "no column"
+    have = repr(got[i]) if i < len(got) else "no column"
+    raise FeatureMismatchError(
+        f"feature column {i + 1} is {have}, but the model was trained with {want}")
+
+
 def _model_risks(model: TrainedModel, features: np.ndarray):
     emb, _ = nn.forward(model.encoder, features)
     logits, _ = nn.forward(model.head, emb)
@@ -216,7 +236,9 @@ def train(dataset: Dataset, cfg: TrainConfig):
             views, ev2, t2 = two_view_augment(batch_patients, aug)
 
             emb, enc_tape = nn.forward(encoder, views)
+            _check_finite(step, "embeddings", emb)
             logits, head_tape = nn.forward(head, emb)
+            _check_finite(step, "head logits", logits)
             output = heads.HeadOutput(logits)
             prog_value, dlogits = _head_loss_and_grad(
                 cfg.head, output, ev2, t2, grid, cfg)
@@ -228,7 +250,8 @@ def train(dataset: Dataset, cfg: TrainConfig):
                 rnc_value, rnc_grad = loss_mod.survrnc_loss(emb_batch, cfg.loss), None
             total = loss_mod.total_loss(prog_value, rnc_value, cfg.loss)
             if not (np.isfinite(prog_value) and np.isfinite(rnc_value)):
-                raise NonFiniteLossError(step, prog_value, rnc_value)
+                raise NonFiniteLossError(
+                    step, f"loss (prognosis={prog_value}, survrnc={rnc_value})")
 
             head_wg, head_bg, demb = nn.backward(head, head_tape, dlogits)
             if rnc_grad is not None:
@@ -272,6 +295,7 @@ def train(dataset: Dataset, cfg: TrainConfig):
 def evaluate(model: TrainedModel, dataset: Dataset) -> metrics.EvalReport:
     """Risk-score CI, horizon AUCs and embedding ordinality on `dataset`."""
     dataset = validate_dataset(dataset)
+    _check_feature_names(model, dataset)
     risks, emb = _model_risks(model, dataset.feature_matrix())
     events, times = dataset.events(), dataset.times()
     ci = metrics.concordance_index(risks, events, times)
@@ -286,6 +310,7 @@ def evaluate(model: TrainedModel, dataset: Dataset) -> metrics.EvalReport:
 def export_embeddings(model: TrainedModel, dataset: Dataset, path) -> None:
     """Write one CSV row per patient: id, time, event, v_1..v_{d_emb}."""
     dataset = validate_dataset(dataset)
+    _check_feature_names(model, dataset)
     emb, _ = nn.forward(model.encoder, dataset.feature_matrix())
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:

@@ -6,6 +6,7 @@ import pytest
 from survrnc.cli import main
 from survrnc.data import load_csv, save_csv, SynthConfig, generate_synthetic
 from survrnc.core import Dataset, Patient
+from survrnc.trainer import FeatureMismatchError
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,46 @@ class TestEvaluateAndExport:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 61
         assert lines[0].split(",")[:3] == ["id", "time", "event"]
+
+
+class TestFeatureNames:
+    """Columns are matched by position, so a renamed or reordered CSV must
+    be rejected rather than scored."""
+
+    @pytest.fixture
+    def renamed_csv(self, data_csv, tmp_path):
+        ds = load_csv(data_csv)
+        path = tmp_path / "renamed.csv"
+        save_csv(Dataset(ds.patients, ("x1", "age", "x3")), path)
+        return path
+
+    @pytest.fixture
+    def reordered_csv(self, data_csv, tmp_path):
+        ds = load_csv(data_csv)
+        order = [0, 2, 1]
+        patients = [Patient(p.id, p.features[order], p.event, p.time)
+                    for p in ds.patients]
+        path = tmp_path / "reordered.csv"
+        save_csv(Dataset(patients, tuple(ds.feature_names[j] for j in order)), path)
+        return path
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
+    def test_renamed_column_rejected(self, trained_dir, renamed_csv, tmp_path,
+                                     command):
+        out = tmp_path / "out"
+        with pytest.raises(FeatureMismatchError, match="column 2 is 'age'.*'x2'"):
+            main([command, "--checkpoint", str(trained_dir / "checkpoint.json"),
+                  "--data", str(renamed_csv), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
+    def test_reordered_columns_rejected(self, trained_dir, reordered_csv,
+                                       tmp_path, command):
+        out = tmp_path / "out"
+        with pytest.raises(FeatureMismatchError, match="column 2 is 'x3'.*'x2'"):
+            main([command, "--checkpoint", str(trained_dir / "checkpoint.json"),
+                  "--data", str(reordered_csv), "--out", str(out)])
+        assert not out.exists()
 
 
 class TestPairsetsCommand:

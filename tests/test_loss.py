@@ -1,14 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import dense_loss_and_grad, pair_likelihood
 from survrnc.core import LossConfig, Patient
 from survrnc.loss import (
     EmbeddingBatch,
     LengthMismatchError,
-    pair_likelihood,
     similarity,
     survrnc_loss,
     survrnc_loss_and_grad,
@@ -240,38 +241,46 @@ def _central_differences(batch, cfg, h=1e-5):
     return fd
 
 
-class TestSortedPathEquivalence:
-    """The O(B^2 log B) production path must match the dense reference."""
+class TestOracleAgreement:
+    """The production kernel must match the dense O(B^3) oracle."""
 
-    def test_matches_dense_on_tied_batches(self):
-        from survrnc.loss import _loss_and_grad_dense, _loss_and_grad_sorted
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.booleans(),
+           st.sampled_from([0.0, 0.37, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_oracle(self, seed, n, two_view, lam):
+        rng = np.random.default_rng(seed)
+        emb = rng.standard_normal((n, 3)) * rng.uniform(0.1, 3)
+        events = rng.integers(0, 2, n)
+        times = rng.choice([0.0, 5.0, 10.0, 25.0, 50.0], n)  # many ties
+        if two_view:  # views of one patient share labels
+            times[1::2] = times[0::2][: n // 2]
+            events[1::2] = events[0::2][: n // 2]
+        b = EmbeddingBatch(emb, events, times)
+        cfg = LossConfig(float(rng.uniform(0.3, 4.0)), lam, 1.0)
+        v1, g1 = dense_loss_and_grad(b, cfg)
+        v2, g2 = survrnc_loss_and_grad(b, cfg)
+        assert abs(v1 - v2) <= 1e-12 * max(abs(v1), 1.0)
+        scale = max(np.abs(g1).max(), 1e-9)
+        assert np.abs(g1 - g2).max() / scale < 1e-8
 
-        rng = np.random.default_rng(14)
-        for trial in range(60):
-            n = int(rng.integers(2, 40))
-            emb = rng.standard_normal((n, 3)) * rng.uniform(0.1, 3)
-            events = rng.integers(0, 2, n)
-            times = rng.choice([0.0, 5.0, 10.0, 25.0, 50.0], n)
-            if n >= 4 and trial % 2 == 0:  # two-view style duplicate labels
-                times[1::2] = times[0::2][: len(times[1::2])]
-                events[1::2] = events[0::2][: len(events[1::2])]
-            b = EmbeddingBatch(emb, events, times)
-            for lam in (0.0, 0.37, 1.0):
-                cfg = LossConfig(float(rng.uniform(0.3, 4.0)), lam, 1.0)
-                v1, g1 = _loss_and_grad_dense(b, cfg, True)
-                v2, g2 = _loss_and_grad_sorted(b, cfg, True)
-                assert abs(v1 - v2) <= 1e-12 * max(abs(v1), 1.0)
-                scale = max(np.abs(g1).max(), 1e-9)
-                assert np.abs(g1 - g2).max() / scale < 1e-8
-
-    def test_dispatch_is_transparent(self):
-        rng = np.random.default_rng(15)
-        b = random_batch(rng, n=30, d=4)
-        from survrnc.loss import _loss_and_grad_dense
-
-        v_public = survrnc_loss(b, CFG)
-        v_dense, _ = _loss_and_grad_dense(b, CFG, False)
-        assert v_public == pytest.approx(v_dense, rel=1e-12)
+    def test_far_outlier_stays_finite_and_exact(self):
+        # one view 3000 units from the rest: exp(sim / tau) = exp(-1500)
+        # underflows, so every denominator that holds only the outlier
+        # would be 0 in linear space
+        rng = np.random.default_rng(16)
+        emb = rng.standard_normal((64, 2))
+        emb[0] += 3000.0
+        events = (rng.random(64) > 0.4).astype(int)
+        b = EmbeddingBatch(emb, events, rng.uniform(0, 100, 64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, grad = survrnc_loss_and_grad(b, CFG)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        dense_value, dense_grad = dense_loss_and_grad(b, CFG)
+        assert value == pytest.approx(dense_value, rel=1e-12)
+        assert np.abs(grad - dense_grad).max() / np.abs(dense_grad).max() < 1e-8
+        fd = _central_differences(b, CFG)
+        assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-4
 
 
 class TestTotalLoss:

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -151,7 +153,7 @@ class TestBackward:
     @pytest.mark.parametrize("widths", [(3, 2), (3, 5, 2), (3, 4, 4, 2)])
     @pytest.mark.parametrize("act", ["relu", "tanh"])
     def test_finite_difference_agreement(self, widths, act):
-        rng = np.random.default_rng(hash((widths, act)) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(repr((widths, act)).encode()))
         p = init_params(MlpSpec(widths, act, seed=6))
         # keep relu pre-activations away from the kink so central
         # differences stay valid

@@ -9,6 +9,7 @@ from survrnc.core import LossConfig
 from survrnc.data import AugmentConfig, SynthConfig, generate_synthetic
 from survrnc.metrics import concordance_index
 from survrnc.trainer import (
+    NonFiniteLossError,
     TrainConfig,
     evaluate,
     export_embeddings,
@@ -96,6 +97,25 @@ class TestTrain:
         cfg = dataclasses.replace(TINY_CFG, head="deephit", epochs=1)
         _, history = train(small_dataset, cfg)
         assert np.isfinite(history.epochs[0]["loss_prognosis"])
+
+    def test_divergence_names_the_step(self, small_dataset, monkeypatch):
+        # poison the encoder output of step 3 (each step runs the encoder,
+        # then the head)
+        forward = nn.forward
+        calls = []
+
+        def poisoned(params, x):
+            out, tape = forward(params, x)
+            calls.append(1)
+            if len(calls) == 5:
+                out = out.copy()
+                out[0, 0] = np.nan
+            return out, tape
+
+        monkeypatch.setattr(nn, "forward", poisoned)
+        with pytest.raises(NonFiniteLossError, match="embeddings") as exc:
+            train(small_dataset, dataclasses.replace(TINY_CFG, epochs=1))
+        assert exc.value.step == 3
 
     def test_best_epoch_consistent(self, small_dataset):
         _, history = train(small_dataset, TINY_CFG)
