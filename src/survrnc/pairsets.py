@@ -32,13 +32,6 @@ UNCERTAIN_CODE = 1
 NEGATIVE_CODE = 2
 EXCLUDED_CODE = -1
 
-_CLASS_BY_CODE = {
-    DISREGARD_CODE: PairClass.DISREGARD,
-    UNCERTAIN_CODE: PairClass.UNCERTAIN,
-    NEGATIVE_CODE: PairClass.NEGATIVE,
-}
-
-
 @dataclass(frozen=True)
 class TimeInterval:
     """Closed-below range [lo, hi] for an unobservable non-negative quantity."""

@@ -304,7 +304,10 @@ def evaluate(model: TrainedModel, dataset: Dataset) -> metrics.EvalReport:
         horizon = metrics.horizon_from_fraction(dataset, frac)
         auc_at[frac] = metrics.cumulative_dynamic_auc(risks, events, times, horizon)
     ordinality = metrics.embedding_ordinality(emb, events, times)
-    return metrics.EvalReport(ci=ci, auc_at=auc_at, ordinality=ordinality)
+    used = metrics.ordinality_subset(events).size
+    return metrics.EvalReport(ci=ci, auc_at=auc_at, ordinality=ordinality,
+                              ordinality_pairs=used * (used - 1) // 2,
+                              ordinality_exact=used == int((events == 1).sum()))
 
 
 def export_embeddings(model: TrainedModel, dataset: Dataset, path) -> None:

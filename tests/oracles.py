@@ -3,15 +3,27 @@
 `dense_loss_and_grad` evaluates the contrastive loss over explicit
 (B, B, B) membership tensors in O(B^3) time and memory, and
 `pair_likelihood` evaluates one (anchor, positive) pair from its index
-sets. Neither is fast; both are direct transcriptions of the definition.
+sets. `loop_concordance_index` (one pass per event), `matrix_auc` (the
+cases x controls comparison matrices) and `spearman_ordinality`
+(`scipy.stats.spearmanr` over all uncensored pairs) are the O(n^2)
+metrics. None is fast; each is a direct transcription of the definition.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+from scipy.spatial.distance import pdist
+from scipy.stats import ConstantInputWarning, spearmanr
 
 from survrnc.core import LossConfig
 from survrnc.loss import EmbeddingBatch, similarity
+from survrnc.metrics import (
+    NoComparablePairsError,
+    TooFewUncensoredError,
+    UndefinedAtHorizonError,
+)
 from survrnc.pairsets import PairSets, pair_set_masks
 
 
@@ -84,3 +96,52 @@ def dense_loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig):
         unit = np.where(dist[:, :, None] > 0, diff / dist[:, :, None], 0.0)
     grad = -np.einsum("ak,akd->ad", coeff, unit) + np.einsum("ak,akd->kd", coeff, unit)
     return value, grad
+
+
+def loop_concordance_index(risks, events, times) -> float:
+    """Harrell's C by one comparable-set pass per event."""
+    risks = np.asarray(risks, dtype=float)
+    events = np.asarray(events, dtype=int)
+    times = np.asarray(times, dtype=float)
+    concordant = 0.0
+    comparable = 0
+    for i in np.flatnonzero(events == 1):
+        later = (times > times[i]) | ((times == times[i]) & (events == 0))
+        comparable += int(later.sum())
+        concordant += float((risks[i] > risks[later]).sum())
+        concordant += 0.5 * float((risks[i] == risks[later]).sum())
+    if comparable == 0:
+        raise NoComparablePairsError("no comparable pairs in the input")
+    return concordant / comparable
+
+
+def matrix_auc(risks, events, times, horizon) -> float:
+    """Horizon AUC from the cases x controls comparison matrices."""
+    risks = np.asarray(risks, dtype=float)
+    events = np.asarray(events, dtype=int)
+    times = np.asarray(times, dtype=float)
+    cases = risks[(times <= horizon) & (events == 1)]
+    controls = risks[times > horizon]
+    if cases.size == 0 or controls.size == 0:
+        raise UndefinedAtHorizonError(
+            f"horizon {horizon}: {cases.size} cases, {controls.size} controls")
+    wins = (cases[:, None] > controls[None, :]).sum()
+    ties = (cases[:, None] == controls[None, :]).sum()
+    return (wins + 0.5 * ties) / (cases.size * controls.size)
+
+
+def spearman_ordinality(embeddings, events, times) -> float:
+    """Spearman's rho of embedding distances vs |time differences| over
+    every pair of uncensored patients; NaN for a constant statistic."""
+    embeddings = np.asarray(embeddings, dtype=float)
+    events = np.asarray(events, dtype=int)
+    times = np.asarray(times, dtype=float)
+    mask = events == 1
+    if mask.sum() < 3:
+        raise TooFewUncensoredError(
+            f"need >= 3 uncensored patients, got {int(mask.sum())}")
+    emb_dist = pdist(embeddings[mask])
+    time_dist = pdist(times[mask, None], metric="cityblock")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConstantInputWarning)
+        return float(spearmanr(emb_dist, time_dist).statistic)

@@ -1,8 +1,14 @@
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import survrnc
 from survrnc.cli import main
 from survrnc.data import load_csv, save_csv, SynthConfig, generate_synthetic
 from survrnc.core import Dataset, Patient
@@ -97,7 +103,8 @@ class TestEvaluateAndExport:
                    "--data", str(data_csv), "--out", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
-        assert set(report) == {"ci", "auc_25", "auc_50", "auc_75", "ordinality"}
+        assert set(report) == {"ci", "auc_25", "auc_50", "auc_75", "ordinality",
+                               "ordinality_pairs", "ordinality_exact"}
         assert 0.0 <= report["ci"] <= 1.0
 
     def test_export_embeddings(self, trained_dir, data_csv, tmp_path):
@@ -192,3 +199,45 @@ class TestLambdaSweepCommand:
         assert [row["lambda"] for row in table] == [0.3, 0.5]
         for row in table:
             assert 0.0 <= row["val_ci"] <= 1.0
+
+
+def run_python(code, *args) -> str:
+    """stdout of `code` run by a fresh interpreter that imports this survrnc."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(survrnc.__file__).resolve().parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+class TestImportCost:
+    def test_package_and_cli_do_not_load_scipy_stats(self):
+        code = ("import sys, survrnc, survrnc.cli; "
+                "print('scipy.stats' in sys.modules)")
+        assert run_python(code).strip() == "False"
+
+
+FAULTS_DURING_TRAINING = """
+import resource, sys
+from survrnc import cli
+from survrnc.data import SynthConfig, generate_synthetic
+from survrnc.trainer import TrainConfig, train
+if sys.argv[1] == "settled":
+    cli._settle_allocator()
+ds, _ = generate_synthetic(SynthConfig(n=1000, d_in=10, seed=1))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(ds, TrainConfig(seed=0, epochs=2))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="sets glibc malloc thresholds")
+class TestAllocator:
+    def test_training_steps_keep_their_heap(self):
+        # 50 steps of 64 views: with glibc's start thresholds every step
+        # faults its temporaries in again
+        settled = int(run_python(FAULTS_DURING_TRAINING, "settled"))
+        default = int(run_python(FAULTS_DURING_TRAINING, "default"))
+        assert settled * 5 < default, (settled, default)

@@ -1,9 +1,12 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from survrnc import metrics
 from survrnc.core import Dataset, Patient
 from survrnc.metrics import (
     EvalReport,
@@ -14,7 +17,10 @@ from survrnc.metrics import (
     cumulative_dynamic_auc,
     embedding_ordinality,
     horizon_from_fraction,
+    ordinality_subset,
 )
+
+from oracles import loop_concordance_index, matrix_auc, spearman_ordinality
 
 
 def brute_force_ci(risks, events, times):
@@ -51,6 +57,63 @@ def brute_force_auc(risks, events, times, horizon):
     return total / (len(cases) * len(controls))
 
 
+@st.composite
+def tied_cohorts(draw):
+    """n in 1..80 patients with few distinct risks, times and embedding
+    coordinates, and events and censorings mixed at equal times."""
+    n = draw(st.integers(1, 80))
+
+    def column(levels):
+        pool = draw(st.lists(levels, min_size=1, max_size=5, unique=True))
+        return np.array(draw(st.lists(st.sampled_from(pool),
+                                      min_size=n, max_size=n)), dtype=float)
+
+    risks = column(st.floats(-3, 3, allow_nan=False))
+    times = column(st.integers(1, 6))
+    events = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    d = draw(st.integers(1, 3))
+    emb = np.stack([column(st.integers(-2, 2)) for _ in range(d)], axis=1)
+    return risks, events, times, emb
+
+
+def outcome(fn, *args):
+    """The value, or the error class, of fn(*args)."""
+    try:
+        return fn(*args)
+    except (NoComparablePairsError, UndefinedAtHorizonError,
+            TooFewUncensoredError) as err:
+        return type(err)
+
+
+class TestOracleAgreement:
+    @given(tied_cohorts())
+    @settings(max_examples=200, deadline=None)
+    def test_concordance_equals_loop_oracle(self, cohort):
+        risks, events, times, _ = cohort
+        assert (outcome(concordance_index, risks, events, times)
+                == outcome(loop_concordance_index, risks, events, times))
+
+    @given(tied_cohorts(), st.sampled_from([0.5, 1.0, 2.0, 3.5, 6.0, 7.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_auc_equals_matrix_oracle(self, cohort, horizon):
+        risks, events, times, _ = cohort
+        assert (outcome(cumulative_dynamic_auc, risks, events, times, horizon)
+                == outcome(matrix_auc, risks, events, times, horizon))
+
+    @given(tied_cohorts())
+    @settings(max_examples=200, deadline=None)
+    def test_ordinality_matches_spearman_oracle(self, cohort):
+        _, events, times, emb = cohort
+        got = outcome(embedding_ordinality, emb, events, times)
+        want = outcome(spearman_ordinality, emb, events, times)
+        if isinstance(want, float) and math.isnan(want):
+            assert math.isnan(got)
+        elif isinstance(want, float):
+            assert abs(got - want) <= 1e-12
+        else:
+            assert got == want
+
+
 class TestConcordanceIndex:
     def test_perfect_ordering(self):
         assert concordance_index([3, 2, 1], [1, 1, 1], [1, 2, 3]) == 1.0
@@ -79,6 +142,14 @@ class TestConcordanceIndex:
     def test_no_comparable_pairs(self):
         with pytest.raises(NoComparablePairsError):
             concordance_index([1, 2], [0, 0], [1, 2])
+
+    @pytest.mark.parametrize("metric", [
+        lambda r: concordance_index(r, [1, 1, 0], [1.0, 2.0, 3.0]),
+        lambda r: cumulative_dynamic_auc(r, [1, 1, 0], [1.0, 2.0, 3.0], 2.5),
+    ])
+    def test_non_finite_risk_names_the_patient(self, metric):
+        with pytest.raises(ValueError, match="patient 1"):
+            metric([0.3, np.nan, 0.1])
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(0)
@@ -196,6 +267,32 @@ class TestEmbeddingOrdinality:
         with pytest.raises(TooFewUncensoredError):
             embedding_ordinality(np.zeros((4, 2)), [1, 1, 0, 0], [1, 2, 3, 4])
 
+    @pytest.mark.parametrize("emb, times", [
+        (np.zeros((5, 3)), [1.0, 2.0, 4.0, 8.0, 9.0]),   # constant distances
+        (np.eye(5), [1.0, 2.0, 4.0, 8.0, 9.0]),          # all distances sqrt(2)
+        (np.arange(5.0)[:, None], [3.0] * 5),            # constant |time diffs|
+        (np.r_[0.0, 1, 2, 3, np.inf][:, None], [1.0, 2.0, 4.0, 8.0, 9.0]),
+    ])
+    def test_constant_or_non_finite_statistic_is_nan_without_warning(self, emb, times):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = embedding_ordinality(emb, [1] * 5, times)
+        assert math.isnan(rho)
+
+
+class TestOrdinalityCap:
+    def test_below_cap_uses_every_uncensored_patient(self):
+        events = np.array([1, 0, 1, 1, 0, 1])
+        np.testing.assert_array_equal(ordinality_subset(events), [0, 2, 3, 5])
+
+    @pytest.mark.parametrize("cap", [3, 10, 11, 45, 2**24])
+    def test_subset_is_the_largest_under_the_cap(self, cap, monkeypatch):
+        monkeypatch.setattr(metrics, "ORDINALITY_MAX_PAIRS", cap)
+        events = np.ones(7000, dtype=int)
+        events[::7] = 0
+        k = ordinality_subset(events).size
+        assert k * (k - 1) // 2 <= cap < (k + 1) * k // 2
+
 
 class TestHorizonFromFraction:
     def make(self, times):
@@ -220,11 +317,16 @@ class TestHorizonFromFraction:
 class TestEvalReport:
     def test_json_key_names(self):
         report = EvalReport(ci=0.7, auc_at={0.25: 0.8, 0.5: 0.75, 0.75: 0.7},
-                            ordinality=0.3)
+                            ordinality=0.3, ordinality_pairs=np.int64(45),
+                            ordinality_exact=np.True_)
         payload = report.to_dict()
-        assert list(payload) == ["ci", "auc_25", "auc_50", "auc_75", "ordinality"]
+        assert list(payload) == ["ci", "auc_25", "auc_50", "auc_75", "ordinality",
+                                 "ordinality_pairs", "ordinality_exact"]
+        assert payload["ordinality_pairs"] == 45
+        assert payload["ordinality_exact"] is True
         assert json.dumps(payload)  # serializable
 
     def test_non_finite_becomes_null(self):
-        report = EvalReport(ci=0.7, auc_at={0.25: float("nan")}, ordinality=0.1)
+        report = EvalReport(ci=0.7, auc_at={0.25: float("nan")}, ordinality=0.1,
+                            ordinality_pairs=3, ordinality_exact=True)
         assert report.to_dict()["auc_25"] is None

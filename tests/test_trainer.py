@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from survrnc.trainer import (
     stratified_split,
     train,
 )
-from survrnc import heads, nn
+from survrnc import heads, metrics, nn
+
+from oracles import spearman_ordinality
 
 TINY_CFG = TrainConfig(
     epochs=2, batch_size=8, num_bins=4, hidden_widths=(8,), d_emb=4,
@@ -175,7 +179,25 @@ class TestEvaluate:
     def test_report_fields(self, small_dataset):
         model, _ = train(small_dataset, TINY_CFG)
         payload = evaluate(model, small_dataset).to_dict()
-        assert set(payload) == {"ci", "auc_25", "auc_50", "auc_75", "ordinality"}
+        assert set(payload) == {"ci", "auc_25", "auc_50", "auc_75", "ordinality",
+                                "ordinality_pairs", "ordinality_exact"}
+        m = int(small_dataset.events().sum())
+        assert payload["ordinality_pairs"] == m * (m - 1) // 2
+        assert payload["ordinality_exact"] is True
+
+    def test_ordinality_cap_recorded(self, small_dataset, monkeypatch):
+        model, _ = train(small_dataset, TINY_CFG)
+        monkeypatch.setattr(metrics, "ORDINALITY_MAX_PAIRS", 50)
+        report = evaluate(model, small_dataset)
+        assert report.ordinality_pairs == 45  # k = 10: 45 <= 50 < 55
+        assert report.ordinality_exact is False
+        assert evaluate(model, small_dataset).ordinality == report.ordinality
+        idx = metrics.ordinality_subset(small_dataset.events())
+        assert len(set(idx)) == 10 and np.all(small_dataset.events()[idx] == 1)
+        emb, _ = nn.forward(model.encoder, small_dataset.feature_matrix())
+        want = spearman_ordinality(emb[idx], small_dataset.events()[idx],
+                                   small_dataset.times()[idx])
+        assert abs(report.ordinality - want) <= 1e-12
 
 
 class TestExportEmbeddings:
@@ -270,3 +292,34 @@ class TestHistorySerialization:
         payload = json.loads(path.read_text())
         assert payload["config"]["seed"] == TINY_CFG.seed
         assert payload["config"]["loss"]["lambda"] == TINY_CFG.loss.lam
+
+
+@pytest.fixture(scope="module")
+def ordering_experiment():
+    path = (Path(__file__).resolve().parents[1] / "scripts"
+            / "run_ordering_experiment.py")
+    spec = importlib.util.spec_from_file_location("run_ordering_experiment", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOrderingClaim:
+    """The paper's directional claim at desk scale: the contrastive
+    regularizer (beta = 1) leaves a more ordinal latent space than the
+    same model trained without it (beta = 0), on the ordering
+    experiment's configuration and data, shortened to 20 epochs."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_regularizer_raises_ordinality(self, ordering_experiment, seed):
+        dataset, _ = generate_synthetic(
+            SynthConfig(n=300, d_in=10, risk_model="linear",
+                        target_censoring=0.3, seed=100 + seed))
+        ordinality = {}
+        for beta in (1.0, 0.0):
+            cfg = dataclasses.replace(
+                ordering_experiment.experiment_config(seed, beta=beta), epochs=20)
+            model, _ = train(dataset, cfg)
+            ordinality[beta] = ordering_experiment.full_ordinality(
+                model.encoder, dataset)
+        assert ordinality[1.0] > ordinality[0.0], ordinality
