@@ -8,7 +8,6 @@ every field can be overridden with a flag, and --seed is mandatory.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 from pathlib import Path
@@ -228,31 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _settle_allocator() -> None:
-    """Start glibc malloc at the thresholds its own adjustment converges to.
-
-    glibc serves blocks of 128 KiB and up with mmap and trims the heap
-    once 128 KiB lie free at its top; it raises both limits (to 32 MiB and
-    64 MiB on 64-bit) only after freeing a large mmapped block. A training
-    step frees and re-allocates its temporaries, so until then every step
-    hands them back to the kernel and faults them in again: about 24k
-    minor faults in 200 steps of 64 views, 80k in 24 steps of 256 views.
-    Does nothing where the C library has no `mallopt`.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3
-    mallopt(m_mmap_threshold, 32 << 20)
-    mallopt(m_trim_threshold, 64 << 20)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _settle_allocator()
+    trainer._settle_allocator()
     return args.func(args)
 
 

@@ -6,10 +6,10 @@ time, weighting censoring-uncertain members by lambda. Similarity is
 negative Euclidean distance.
 
 One kernel serves every batch size in O(B^2 log B) time and O(B^2)
-memory. Each pair's denominator is a suffix sum over the anchor's row
-sorted by interval bound, and each member's gradient weight a prefix sum
-over the same order. Both sums run in log space, so no denominator
-underflows however far apart the embeddings lie.
+memory. One sort of the anchor's row by time threshold orders every sum:
+each pair's denominator is a suffix sum from the positive's tie group,
+each member's gradient weight a prefix sum. Both run in log space, so no
+denominator underflows however far apart the embeddings lie.
 """
 
 from __future__ import annotations
@@ -85,32 +85,6 @@ def survrnc_loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig):
     return _loss_and_grad(batch, cfg, want_grad=True)
 
 
-def _rank_order(theta: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Row-wise argsort of [theta | bound], thresholds ahead of bounds on ties.
-
-    Non-negative floats sort like their bit patterns. Shifting those left
-    drops the sign bit (set only by -0.0) and frees the low bit for the
-    tie-break, which is cheaper than a stable sort.
-    """
-    n = theta.shape[1]
-    keys = np.concatenate([theta, bound], axis=1).view(np.uint64) << 1
-    keys[:, n:] |= 1
-    return np.argsort(keys, axis=1)
-
-
-def _scan(values: np.ndarray, order: np.ndarray, reverse: bool) -> np.ndarray:
-    """Running log-sum-exp of each row of `values` taken in `order` (from
-    its end when `reverse`), returned in the original layout."""
-    ranked = np.take_along_axis(values, order, axis=1)
-    if reverse:
-        acc = np.logaddexp.accumulate(ranked[:, ::-1], axis=1)[:, ::-1]
-    else:
-        acc = np.logaddexp.accumulate(ranked, axis=1)
-    out = np.empty_like(acc)
-    np.put_along_axis(out, order, acc, axis=1)
-    return out
-
-
 def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
     """The loss kernel.
 
@@ -118,61 +92,84 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
         d = (1 - lam) N + lam H,
     where N sums exp(x[a, k]) over the negatives k (lo[a, k] >= theta[a, p],
     plus p itself when its own class is uncertain) and H over negatives and
-    uncertains (hi[a, k] >= theta[a, p]). Sorting row a of [theta | bound]
-    once per bound kind makes every such sum a suffix of the sorted row.
-    The gradient weight of member k sums 1/d over the pairs with
-    theta[a, p] <= bound[a, k]: a prefix of the same order.
+    uncertains (hi[a, k] >= theta[a, p]). lo[a, k] is theta[a, k] or 0 and
+    hi[a, k] is theta[a, k] or inf, so one ascending sort of row a by theta
+    orders both sums. A member whose bound is theta counts at its own
+    place. A lo = 0 member counts at the first place, so it joins N only
+    for pairs with theta = 0; a hi = inf member counts at the last place,
+    so it joins every H. N and H are suffix sums read at the first place
+    of p's tie group. The gradient weight of member k, the sum of 1/d over
+    the pairs whose N or H holds k, is one prefix sum of 1/d read at the
+    last place of the tie group k counts in.
     """
     v = batch.embeddings
     n = batch.size
     tau, lam = cfg.temperature, cfg.lam
-    dist = cdist(v, v)
-    x = -dist / tau
-    x_k = x.copy()
-    np.fill_diagonal(x_k, -np.inf)  # k = a never participates
     lo, hi, theta = delta_bound_matrices(batch.events, batch.times)
-    promo = lo < theta  # p uncertain to itself: promoted to the negatives
-    kinds = [(bound, weight) for bound, weight in ((lo, 1.0 - lam), (hi, lam))
+    rows = np.arange(n)[:, None]
+    # flat index of each row's members in ascending theta; every (B, B)
+    # matrix from here on lists its rows in that order
+    ranked = np.argsort(theta, axis=1) + n * rows
+    # per bound kind: members whose bound is theta, the others' place, weight
+    kinds = [(np.take(bound == theta, ranked), place, weight)
+             for bound, place, weight in ((lo, 0, 1.0 - lam), (hi, -1, lam))
              if weight > 0]
-    orders = [_rank_order(theta, bound) for bound, _ in kinds]
-    empty = np.full((n, n), -np.inf)
+    theta = np.take(theta, ranked)
+    dist = np.take(cdist(v, v), ranked)
+    x = -dist / tau
+    is_self = ranked == rows * (n + 1)
+    x[is_self] = -np.inf  # k = a never participates
+    places = np.arange(n)
+    tie = np.zeros((n, n + 1), dtype=bool)  # tie[:, j]: place j ties place j - 1
+    tie[:, 1:-1] = theta[:, 1:] == theta[:, :-1]
+    first = np.maximum.accumulate(np.where(tie[:, :-1], 0, places), axis=1) + n * rows
 
-    log_sums = [_scan(np.concatenate([empty, x_k], axis=1), order, True)[:, :n]
-                for order in orders]
+    log_sums = []
+    for exact, place, _ in kinds:
+        addends = np.where(exact, x, -np.inf)
+        others = np.where(exact, -np.inf, x)
+        top = others.max(axis=1, initial=np.finfo(float).min)
+        with np.errstate(divide="ignore"):  # log 0 = -inf: no others in the row
+            total = np.log(np.exp(others - top[:, None]).sum(axis=1)) + top
+        addends[:, place] = np.logaddexp(addends[:, place], total)
+        suffix = np.logaddexp.accumulate(addends[:, ::-1], axis=1)[:, ::-1]
+        log_sums.append(np.take(suffix, first))
+    log_d = log_sums[0]
     if lam < 1:
-        log_sums[0] = np.where(promo, np.logaddexp(log_sums[0], x), log_sums[0])
-    if len(log_sums) == 1:
-        log_d = log_sums[0]
-    else:
-        log_n, log_h = log_sums
+        promo = ~kinds[0][0]  # p uncertain to itself: promoted to the negatives
+        log_d = np.where(promo, np.maximum(log_d, x) + np.log1p(
+            np.exp(-np.abs(log_d - x))), log_d)  # vector logaddexp, 6x faster
+    if len(log_sums) == 2:
+        log_h = log_sums[1]
         # H == N means no uncertain mass, and d is N exactly for every lam
-        log_d = np.where(log_h > log_n,
-                         np.logaddexp(np.log1p(-lam) + log_n, np.log(lam) + log_h),
-                         log_n)
+        log_d = np.where(log_h > log_d, log_h + np.log(
+            lam + (1.0 - lam) * np.exp(log_d - log_h)), log_d)
     # d >= exp(x[a, p]) because p sits in its own denominator with weight 1;
     # rounding in the lam mix may undercut that by an ulp
-    terms = np.maximum(log_d - x, 0.0)
-    np.fill_diagonal(terms, 0.0)  # p = a is not a pair
+    terms = np.where(is_self, 0.0, np.maximum(log_d - x, 0.0))  # p = a: no pair
     num_pairs = n * (n - 1)
     value = float(terms.sum() / num_pairs)
     if not want_grad:
         return value, None
 
-    neg_log_d = -log_d
-    np.fill_diagonal(neg_log_d, -np.inf)
-    # coeff[a, k] = d(summed terms) / d x[a, k]: each pair's own -x[a, p],
-    # plus the weight exp(x[a, k]) / d of k in every denominator holding it;
-    # those weights are <= 1 each, so no exp below overflows
-    coeff = np.full((n, n), -1.0)
-    for (_, weight), order in zip(kinds, orders):
-        log_r = _scan(np.concatenate([neg_log_d, empty], axis=1), order, False)[:, n:]
-        coeff += weight * np.exp(x_k + log_r)
+    prefix = np.logaddexp.accumulate(np.where(is_self, -np.inf, -log_d), axis=1)
+    last = np.minimum.accumulate(np.where(tie[:, 1:], n - 1, places)[:, ::-1],
+                                 axis=1)[:, ::-1] + n * rows
+    own = np.take(prefix, last)
+    # coeff[a, k] = d(summed terms) / d x[a, k]: the weight exp(x[a, k]) / d
+    # of k in every denominator holding it, less each pair's own x[a, p]
+    # (both split by kind, so a lone positive's terms cancel exactly); the
+    # weights are <= 1 each, so no exp below overflows
+    coeff = np.zeros((n, n))
+    for exact, place, weight in kinds:
+        coeff += weight * (np.exp(x + np.where(exact, own, own[:, place, None])) - 1.0)
     if lam < 1:
-        coeff += np.where(promo, (1.0 - lam) * np.exp(x_k - log_d), 0.0)
-    np.fill_diagonal(coeff, 0.0)
+        coeff += (1.0 - lam) * promo * np.exp(x - log_d)
+    coeff[is_self] = 0.0
     coeff /= tau * num_pairs
 
     # d dist[a, k] / d v[a] = (v[a] - v[k]) / dist[a, k] = -d dist[a, k] / d v[k]
-    w = np.divide(coeff, dist, out=np.zeros_like(coeff), where=dist > 0)
+    w = np.empty((n, n))
+    w.ravel()[ranked] = np.divide(coeff, dist, out=np.zeros((n, n)), where=dist > 0)
     s = w + w.T
     return value, s @ v - s.sum(axis=1)[:, None] * v

@@ -220,14 +220,13 @@ class TestImportCost:
 
 FAULTS_DURING_TRAINING = """
 import resource, sys
-from survrnc import cli
+from survrnc import trainer
 from survrnc.data import SynthConfig, generate_synthetic
-from survrnc.trainer import TrainConfig, train
-if sys.argv[1] == "settled":
-    cli._settle_allocator()
+if sys.argv[1] == "default":
+    trainer._settle_allocator = lambda: None
 ds, _ = generate_synthetic(SynthConfig(n=1000, d_in=10, seed=1))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-train(ds, TrainConfig(seed=0, epochs=2))
+trainer.train(ds, trainer.TrainConfig(seed=0, epochs=4, batch_size=128))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -236,8 +235,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
                     reason="sets glibc malloc thresholds")
 class TestAllocator:
     def test_training_steps_keep_their_heap(self):
-        # 50 steps of 64 views: with glibc's start thresholds every step
-        # faults its temporaries in again
+        # 24 steps of 256 views, called from Python rather than the CLI:
+        # with glibc's start thresholds every step faults its temporaries
+        # in again
         settled = int(run_python(FAULTS_DURING_TRAINING, "settled"))
         default = int(run_python(FAULTS_DURING_TRAINING, "default"))
         assert settled * 5 < default, (settled, default)

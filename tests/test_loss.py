@@ -263,6 +263,53 @@ class TestOracleAgreement:
         scale = max(np.abs(g1).max(), 1e-9)
         assert np.abs(g1 - g2).max() / scale < 1e-8
 
+    @pytest.mark.parametrize("lam", [0.0, 0.01, 0.37, 1.0])
+    @pytest.mark.parametrize("case", [
+        "all_times_equal", "single_event", "two_events", "two_censored",
+        "event_and_later_censored", "two_views_censored", "two_view_b96"])
+    def test_tie_groups_and_edges_match_dense_oracle(self, case, lam):
+        rng = np.random.default_rng(17)
+        n = {"all_times_equal": 9, "single_event": 12, "two_view_b96": 96}.get(case, 2)
+        emb = rng.standard_normal((n, 3))
+        events = rng.integers(0, 2, n)
+        times = rng.uniform(0, 100, n)
+        if case == "all_times_equal":  # one tie group holds the whole row
+            times[:] = 30.0
+        elif case == "single_event":
+            events[:] = 0
+            events[4] = 1
+        elif case == "two_view_b96":  # 60% censored, time ties across patients
+            events = np.repeat((rng.random(48) > 0.6).astype(int), 2)
+            times = np.repeat(rng.choice([5.0, 10.0, 20.0, 40.0, 80.0], 48), 2)
+        else:
+            events, times = {
+                "two_events": ([1, 1], [10.0, 30.0]),
+                "two_censored": ([0, 0], [30.0, 10.0]),
+                "event_and_later_censored": ([1, 0], [10.0, 30.0]),
+                "two_views_censored": ([0, 0], [30.0, 30.0]),
+            }[case]
+        b = EmbeddingBatch(emb, events, times)
+        cfg = LossConfig(0.1, lam, 1.0)
+        v1, g1 = dense_loss_and_grad(b, cfg)
+        v2, g2 = survrnc_loss_and_grad(b, cfg)
+        assert abs(v1 - v2) <= 1e-12 * max(abs(v1), 1.0)
+        scale = max(np.abs(g1).max(), 1e-9)
+        assert np.abs(g1 - g2).max() / scale < 1e-8
+
+    def test_largest_batch_in_envelope(self):
+        # 512 views of 256 patients, 60% censored: finite without warnings,
+        # translation-invariant gradient, one value from both entry points
+        rng = np.random.default_rng(18)
+        events = np.repeat((rng.random(256) > 0.6).astype(int), 2)
+        times = np.repeat(rng.uniform(0, 100, 256), 2)
+        b = EmbeddingBatch(rng.standard_normal((512, 32)), events, times)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, grad = survrnc_loss_and_grad(b, CFG)
+            assert survrnc_loss(b, CFG) == value
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        assert np.abs(grad.sum(axis=0)).max() / np.abs(grad).max() < 1e-10
+
     def test_far_outlier_stays_finite_and_exact(self):
         # one view 3000 units from the rest: exp(sim / tau) = exp(-1500)
         # underflows, so every denominator that holds only the outlier

@@ -15,6 +15,7 @@ from survrnc.pairsets import (
     classification_tensor,
     classify,
     classify_interval,
+    delta_bound_matrices,
     delta_interval,
     pair_set_masks,
     pair_threshold,
@@ -184,6 +185,27 @@ def patient_batches(draw):
         st.tuples(st.booleans(), st.sampled_from([0.0, 10.0, 25.0, 50.0, 75.0, 100.0])),
         min_size=n, max_size=n))
     return [P(int(e), t, f"p{i}") for i, (e, t) in enumerate(rows)]
+
+
+class TestBoundIdentity:
+    """Each interval bound is the threshold or an extreme, bit for bit:
+    lo is theta or 0 and hi is theta or inf. The loss kernel orders every
+    sum by theta alone on the strength of this."""
+
+    @given(st.lists(st.tuples(st.booleans(), st.one_of(
+        st.sampled_from([0.0, 0.1, 10.0, 25.0]),
+        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))),
+        min_size=1, max_size=40))
+    @settings(max_examples=200)
+    def test_bounds_are_theta_or_extreme(self, rows):
+        events = np.array([int(e) for e, _ in rows])
+        times = np.array([t for _, t in rows])
+        lo, hi, theta = delta_bound_matrices(events, times)
+        bits = np.uint64
+        assert np.array_equal(np.where(lo == theta, theta, 0.0).view(bits),
+                              lo.view(bits))
+        assert np.array_equal(np.where(hi == theta, theta, np.inf).view(bits),
+                              hi.view(bits))
 
 
 class TestProperties:
