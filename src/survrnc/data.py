@@ -197,27 +197,33 @@ def two_view_augment(batch: Sequence[Patient], cfg: AugmentConfig):
     return views, events, times
 
 
-def sample_batch(dataset: Dataset, batch_size: int, weights_mode: str,
-                 seed: int, step: int) -> np.ndarray:
-    """Indices of one batch, sampled without replacement.
+def sampling_weights(dataset: Dataset, weights_mode: str) -> np.ndarray | None:
+    """Per-patient draw probabilities for `sample_batch`.
 
-    `event_balanced` weights each patient inversely to the frequency of
-    its event class, so heavy censoring no longer starves batches of
-    events. Deterministic given (seed, step).
+    None for `uniform`. `event_balanced` weights each patient inversely to
+    the frequency of its event class, so heavy censoring no longer starves
+    batches of events.
     """
     if weights_mode not in _SAMPLER_MODES:
         raise ValueError(f"weights_mode must be one of {_SAMPLER_MODES}")
-    n = len(dataset)
-    if batch_size > n:
-        raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
-    rng = np.random.default_rng([seed, step])
     if weights_mode == "uniform":
-        return np.sort(rng.choice(n, size=batch_size, replace=False))
+        return None
     events = dataset.events()
     frac_event = events.mean()
     if frac_event in (0.0, 1.0):
-        weights = np.ones(n)
+        weights = np.ones(len(dataset))
     else:
         weights = np.where(events == 1, 1.0 / frac_event, 1.0 / (1.0 - frac_event))
-    weights = weights / weights.sum()
+    return weights / weights.sum()
+
+
+def sample_batch(n: int, batch_size: int, weights: np.ndarray | None,
+                 seed: int, step: int) -> np.ndarray:
+    """Indices of one batch of `batch_size` out of `n` patients, drawn
+    without replacement with the probabilities from `sampling_weights`.
+    Deterministic given (seed, step).
+    """
+    if batch_size > n:
+        raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
+    rng = np.random.default_rng([seed, step])
     return np.sort(rng.choice(n, size=batch_size, replace=False, p=weights))

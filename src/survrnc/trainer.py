@@ -20,7 +20,7 @@ import numpy as np
 
 from . import heads, loss as loss_mod, metrics, nn
 from .core import Dataset, LossConfig, TimeGrid, discretize_time, validate_dataset
-from .data import AugmentConfig, two_view_augment, sample_batch
+from .data import AugmentConfig, sample_batch, sampling_weights, two_view_augment
 
 _HEADS = ("mtlr", "deephit")
 VAL_FRACTION = 0.2
@@ -245,6 +245,7 @@ def train(dataset: Dataset, cfg: TrainConfig):
     steps_per_epoch = max(1, len(train_ds) // batch_size)
     val_features = val_ds.feature_matrix()
     val_events, val_times = val_ds.events(), val_ds.times()
+    weights = sampling_weights(train_ds, cfg.sampler)
 
     history = TrainHistory()
     beta = cfg.loss.beta
@@ -253,7 +254,7 @@ def train(dataset: Dataset, cfg: TrainConfig):
         epoch_prog, epoch_rnc, epoch_total = [], [], []
         for _ in range(steps_per_epoch):
             step += 1
-            idx = sample_batch(train_ds, batch_size, cfg.sampler,
+            idx = sample_batch(len(train_ds), batch_size, weights,
                                seed=cfg.seed, step=step)
             batch_patients = [train_ds.patients[i] for i in idx]
             aug = dataclasses.replace(

@@ -6,7 +6,9 @@
 sets. `loop_concordance_index` (one pass per event), `matrix_auc` (the
 cases x controls comparison matrices) and `spearman_ordinality`
 (`scipy.stats.spearmanr` over all uncensored pairs) are the O(n^2)
-metrics. None is fast; each is a direct transcription of the definition.
+metrics; `centred_ranks` ranks one pair statistic with an `argsort`, the
+reference for the packed-key ranks inside `embedding_ordinality`. None is
+fast; each is a direct transcription of the definition.
 """
 
 from __future__ import annotations
@@ -145,3 +147,18 @@ def spearman_ordinality(embeddings, events, times) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstantInputWarning)
         return float(spearmanr(emb_dist, time_dist).statistic)
+
+
+def centred_ranks(x: np.ndarray) -> np.ndarray:
+    """Twice the centred average rank of each entry of `x` (ties share
+    their mean rank), in the order of `x`. Sorts `x` in place."""
+    n = x.size
+    order = np.argsort(x)
+    x.sort()
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    counts = np.diff(starts, append=n)
+    # a run at sorted positions [s, s + count) has mean rank s + (count + 1)/2
+    # and the overall mean rank is (n + 1)/2
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(2 * starts + counts - n, counts)
+    return ranks

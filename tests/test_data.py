@@ -9,6 +9,7 @@ from survrnc.data import (
     generate_synthetic,
     load_csv,
     sample_batch,
+    sampling_weights,
     save_csv,
     two_view_augment,
 )
@@ -155,34 +156,52 @@ class TestSampleBatch:
             SynthConfig(n=n, d_in=2, target_censoring=censoring, seed=seed))
         return ds
 
+    def draw(self, ds, batch_size, mode, seed, step):
+        return sample_batch(len(ds), batch_size, sampling_weights(ds, mode),
+                            seed=seed, step=step)
+
     def test_full_batch_uniform_returns_all(self):
         ds = self.make_ds(n=30)
-        idx = sample_batch(ds, 30, "uniform", seed=1, step=0)
+        idx = self.draw(ds, 30, "uniform", seed=1, step=0)
         assert sorted(idx) == list(range(30))
 
     def test_deterministic_given_seed_and_step(self):
         ds = self.make_ds()
-        a = sample_batch(ds, 16, "event_balanced", seed=5, step=7)
-        b = sample_batch(ds, 16, "event_balanced", seed=5, step=7)
+        a = self.draw(ds, 16, "event_balanced", seed=5, step=7)
+        b = self.draw(ds, 16, "event_balanced", seed=5, step=7)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode, seed, step, expected", [
+        ("event_balanced", 0, 1, [0, 8, 45, 112, 154, 155, 175, 186]),
+        ("event_balanced", 5, 7, [9, 34, 58, 96, 103, 160, 168, 187]),
+        ("event_balanced", 3, 250, [22, 23, 43, 79, 96, 123, 154, 189]),
+        ("uniform", 0, 1, [45, 59, 100, 109, 158, 172, 191, 193]),
+        ("uniform", 5, 7, [57, 58, 94, 99, 163, 165, 184, 190]),
+        ("uniform", 3, 250, [1, 17, 30, 32, 44, 108, 153, 156]),
+    ])
+    def test_indices_are_pinned(self, mode, seed, step, expected):
+        # fixed-seed histories and checkpoints depend on these exact draws
+        ds = self.make_ds()
+        assert self.draw(ds, 8, mode, seed, step).tolist() == expected
 
     def test_different_steps_differ(self):
         ds = self.make_ds()
-        a = sample_batch(ds, 16, "event_balanced", seed=5, step=7)
-        b = sample_batch(ds, 16, "event_balanced", seed=5, step=8)
+        a = self.draw(ds, 16, "event_balanced", seed=5, step=7)
+        b = self.draw(ds, 16, "event_balanced", seed=5, step=8)
         assert not np.array_equal(a, b)
 
     def test_without_replacement(self):
         ds = self.make_ds()
-        idx = sample_batch(ds, 50, "event_balanced", seed=2, step=0)
+        idx = self.draw(ds, 50, "event_balanced", seed=2, step=0)
         assert len(set(idx.tolist())) == 50
 
     def test_event_balanced_share_near_half(self):
         # ~80% censored: inverse-frequency weights should even the classes
         ds = self.make_ds(n=400, censoring=0.8)
         events = ds.events()
+        weights = sampling_weights(ds, "event_balanced")
         shares = [
-            events[sample_batch(ds, 16, "event_balanced", seed=3, step=s)].mean()
+            events[sample_batch(len(ds), 16, weights, seed=3, step=s)].mean()
             for s in range(10000)
         ]
         assert abs(np.mean(shares) - 0.5) < 0.05
@@ -190,4 +209,8 @@ class TestSampleBatch:
     def test_batch_too_large(self):
         ds = self.make_ds(n=10)
         with pytest.raises(ValueError):
-            sample_batch(ds, 11, "uniform", seed=0, step=0)
+            self.draw(ds, 11, "uniform", seed=0, step=0)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="weights_mode"):
+            sampling_weights(self.make_ds(n=10), "stratified")

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -20,7 +22,13 @@ from survrnc.metrics import (
     ordinality_subset,
 )
 
-from oracles import loop_concordance_index, matrix_auc, spearman_ordinality
+from oracles import (
+    centred_ranks,
+    loop_concordance_index,
+    matrix_auc,
+    spearman_ordinality,
+)
+from test_cli import run_python
 
 
 def brute_force_ci(risks, events, times):
@@ -272,12 +280,88 @@ class TestEmbeddingOrdinality:
         (np.eye(5), [1.0, 2.0, 4.0, 8.0, 9.0]),          # all distances sqrt(2)
         (np.arange(5.0)[:, None], [3.0] * 5),            # constant |time diffs|
         (np.r_[0.0, 1, 2, 3, np.inf][:, None], [1.0, 2.0, 4.0, 8.0, 9.0]),
+        (np.arange(5.0)[:, None], [1.0, 2.0, 4.0, 8.0, np.inf]),
     ])
     def test_constant_or_non_finite_statistic_is_nan_without_warning(self, emb, times):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rho = embedding_ordinality(emb, [1] * 5, times)
         assert math.isnan(rho)
+
+
+# +0.0, -0.0, the two smallest and the largest subnormal, +inf (an
+# overflowed distance)
+SPECIAL_BITS = (0, 2**63, 1, 2, 2**52 - 1, 0x7FF0_0000_0000_0000)
+
+
+@st.composite
+def pair_statistics(draw):
+    """Non-negative doubles, -0.0 and +inf among them, with heavy ties and
+    runs a few ulps apart that share their high bits, sized 2^k - 1, 2^k
+    and 2^k + 1 around the width of the packed index."""
+    k = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([max(1, 2**k - 1), 2**k, 2**k + 1]))
+    bases = draw(st.lists(st.integers(0, 0x7FEF_FFFF_FFFF_0000),
+                          min_size=1, max_size=4))
+    near = st.builds(int.__add__, st.sampled_from(bases), st.integers(0, 40))
+    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_BITS), near),
+                         min_size=1, max_size=30, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = np.array(pool, dtype=np.uint64)[rng.integers(0, len(pool), n)]
+    return bits.view(np.float64)
+
+
+class TestOrderedRanks:
+    @given(pair_statistics())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_argsort_oracle(self, x):
+        order, ranks = metrics._ordered_ranks(x.copy())
+        assert order.dtype == ranks.dtype == np.int32
+        np.testing.assert_array_equal(np.sort(order), np.arange(x.size))
+        assert (x[order][1:] >= x[order][:-1]).all()
+        got = np.empty(x.size)
+        got[order] = ranks
+        np.testing.assert_array_equal(got, centred_ranks(x.copy()))
+
+    def test_negative_zero_ties_with_zero(self):
+        order, ranks = metrics._ordered_ranks(np.array([-0.0, 1.0, 0.0, -0.0]))
+        assert sorted(order[:3]) == [0, 2, 3]
+        np.testing.assert_array_equal(ranks, [-1, -1, -1, 3])
+
+    def test_widths_hold_the_pair_cap(self):
+        # dropped low bits are stored as uint32; orders and ranks in
+        # [-(P - 1), P - 1] as int32
+        assert (metrics.ORDINALITY_MAX_PAIRS - 1).bit_length() <= 32
+        assert metrics.ORDINALITY_MAX_PAIRS < 2**31
+
+    def test_too_many_values_raise(self):
+        with pytest.raises(ValueError, match="int32"):
+            metrics._ordered_ranks(types.SimpleNamespace(size=2**31))
+
+
+ORDINALITY_PEAK_PER_PAIR = """
+import resource, sys
+import numpy as np
+from survrnc.metrics import embedding_ordinality
+m = 2000
+rng = np.random.default_rng(0)
+emb, times = rng.standard_normal((m, 32)), rng.exponential(1.0, m)
+if sys.argv[1] == "days":
+    times = np.ceil(365 * times)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+embedding_ordinality(emb, np.ones(m, dtype=int), times)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024 / (m * (m - 1) // 2))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+class TestOrdinalityMemory:
+    @pytest.mark.parametrize("times", ["continuous", "days"])
+    def test_peak_bytes_per_pair(self, times):
+        # 1,999,000 pairs: ranking with argsort took 57-67 B per pair,
+        # the packed-key ranks take about 27
+        assert float(run_python(ORDINALITY_PEAK_PER_PAIR, times)) < 40
 
 
 class TestOrdinalityCap:
