@@ -22,12 +22,14 @@ All three metrics are exact, sort-based and loop-free:
   correlation of the twice-centred average ranks of the P = m(m-1)/2
   embedding distances and |time differences| of m uncensored patients.
   Each statistic is ranked exactly, in int32, from one in-place sort of
-  packed uint64 keys (see `_ordered_ranks`): O(P log P) time, about 25
-  bytes per pair allocated at the peak. Above `ORDINALITY_MAX_PAIRS` pairs (about
-  5,800 uncensored patients, ~0.5 GB) it ranks the pairs of a fixed-seed
-  subset of the uncensored patients instead (see `ordinality_subset`), so
-  memory stays bounded and the value repeats exactly; `EvalReport`
-  records the pairs used and whether the value is exact.
+  packed uint64 keys (see `_ordered_ranks`), and the correlation is read
+  off exact integer dot products of the ranks: O(P log P) time, about 25
+  bytes per pair allocated at the peak. Above `ORDINALITY_MAX_PAIRS`
+  pairs (about 5,800 uncensored patients, ~0.5 GB) it ranks the pairs of
+  a fixed-seed subset of the uncensored patients instead (see
+  `ordinality_subset`), so memory stays bounded and the value repeats
+  exactly; `EvalReport` records the pairs used and whether the value is
+  exact.
 """
 
 from __future__ import annotations
@@ -223,6 +225,16 @@ def _ordered_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, ranks
 
 
+def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
+    """a @ b of two int32 rank arrays with entries in [-(n-1), n-1], n <=
+    `ORDINALITY_MAX_PAIRS`, as an exact Python int. Summed over int64
+    blocks small enough not to overflow, so no float64 copy of either
+    array is made: the ranks stay the largest arrays alive."""
+    block = max(1, 2**62 // max(1, a.size - 1) ** 2)
+    return sum(int(np.dot(a[i:i + block].astype(np.int64), b[i:i + block]))
+               for i in range(0, a.size, block))
+
+
 def embedding_ordinality(embeddings: np.ndarray, events: np.ndarray,
                          times: np.ndarray) -> float:
     """Spearman correlation of embedding distances vs |time differences|.
@@ -250,11 +262,10 @@ def embedding_ordinality(embeddings: np.ndarray, events: np.ndarray,
     order, a = _ordered_ranks(pdist(embeddings[idx]))
     b = b[order]
     del order
-    a, b = a.astype(float), b.astype(float)
-    scale = math.sqrt(float(a @ a)) * math.sqrt(float(b @ b))
+    scale = math.sqrt(_exact_dot(a, a)) * math.sqrt(_exact_dot(b, b))
     if scale == 0.0:
         return math.nan
-    return max(-1.0, min(1.0, float(a @ b) / scale))
+    return max(-1.0, min(1.0, _exact_dot(a, b) / scale))
 
 
 def horizon_from_fraction(dataset: Dataset, fraction: float) -> float:

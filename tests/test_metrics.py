@@ -311,6 +311,24 @@ def pair_statistics(draw):
     return bits.view(np.float64)
 
 
+class TestExactDot:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5000, 70001])
+    def test_equals_python_int_sum(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.integers(1 - n, n, (2, n), dtype=np.int32)
+        want = sum(int(x) * int(y) for x, y in zip(a, b))
+        assert metrics._exact_dot(a, b) == want
+
+    @pytest.mark.parametrize("n", [2, 5000, 2**21 + 3])
+    def test_extreme_entries_over_several_blocks(self, n):
+        # every entry at +-(n - 1); at 2**21 + 3 the sum exceeds 2**63,
+        # spans three int64 blocks and is not exact in float64
+        signs = np.random.default_rng(n).choice(np.array([-1, 1], np.int32), n)
+        a = signs * np.int32(n - 1)
+        assert metrics._exact_dot(a, a) == n * (n - 1) ** 2
+        assert metrics._exact_dot(a, -a) == -n * (n - 1) ** 2
+
+
 class TestOrderedRanks:
     @given(pair_statistics())
     @settings(max_examples=300, deadline=None)
