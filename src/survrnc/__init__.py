@@ -18,7 +18,6 @@ from .core import (
 from .data import AugmentConfig, SynthConfig, generate_synthetic, load_csv, save_csv
 from .loss import (
     EmbeddingBatch,
-    similarity,
     survrnc_loss,
     survrnc_loss_and_grad,
     survrnc_loss_grad,
@@ -86,7 +85,6 @@ __all__ = [
     "pair_threshold",
     "save_checkpoint",
     "save_csv",
-    "similarity",
     "survrnc_loss",
     "survrnc_loss_and_grad",
     "survrnc_loss_grad",

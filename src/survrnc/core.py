@@ -1,4 +1,5 @@
-"""Domain types, dataset validation, and time-grid discretization.
+"""Domain types, dataset validation, time-grid discretization, and the
+pairwise distances the loss and the metrics share.
 
 Everything here is immutable after construction and safe to share across
 workers. `Patient`/`Dataset` are dumb records: they can hold invalid data,
@@ -11,9 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+# numpy imports these on first use (np.random; np.unique imports numpy.ma):
+# loading them with the package keeps that one-off cost out of `train`
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,3 +214,51 @@ def discretize_time(dataset: Dataset, num_bins: int) -> TimeGrid:
     cuts = uncensored[ranks - 1]
     cuts = np.unique(cuts[cuts > 0])
     return TimeGrid(cuts)
+
+
+# A squared distance the Gram formula puts below GUARD_KAPPA * (|a|^2 + |b|^2)
+# (a, b the centred rows) is recomputed by direct difference. With
+# u = 2**-53 and gamma_k = k u / (1 - k u), the formula's absolute error is
+# at most 2 gamma_{d+1} (|a|^2 + |b|^2): gamma_d from each d-term dot
+# product (|a.b| <= (|a|^2 + |b|^2) / 2, whatever order the BLAS sums in)
+# and u from the sums. Centring moves each difference by at most
+# u (|a| + |b|). So every kept value is within 40 gamma_{d+2} relative of
+# the exact squared distance (1.5e-13 at d = 32; 1 / GUARD_KAPPA = 20 is
+# the cancellation the formula is trusted with), and every value it could
+# round to 0 or below, duplicated rows included, is recomputed: no result
+# is negative, so no clamp is needed.
+GUARD_KAPPA = 0.05
+
+
+def sq_distance_blocks(v: np.ndarray, rows: int) -> Iterator[np.ndarray]:
+    """Squared Euclidean distances between the rows of the (n, d) matrix
+    `v`, in blocks of `rows` rows: for start = 0, rows, 2 rows, ... the
+    block out[i, j] = |v[start + i] - v[start + j]|^2 over rows
+    [start, start + rows) and [start, n). One block of n rows is the full
+    matrix, symmetric bit for bit.
+
+    The rows are centred once, on the middle value of each column (the
+    (n // 2)-th smallest), so a common offset or a far outlier costs no
+    accuracy; being a value of the column, the centre also keeps exact
+    the distances of data on a common binary grid (small integers, say),
+    and so their ties. Each block is one GEMM: |a|^2 + |b|^2 - 2 a.b.
+    Pairs close relative to their norms (see `GUARD_KAPPA`) are recomputed
+    from the difference of the rows, so duplicated rows give exactly 0.
+    """
+    centred = v - np.partition(v, v.shape[0] // 2, axis=0)[v.shape[0] // 2]
+    norms = np.einsum("ij,ij->i", centred, centred)
+    for start in range(0, v.shape[0], rows):
+        stop = start + rows
+        # a block of all n rows is c @ c.T, which numpy computes with
+        # SYRK: one triangle, mirrored, so the block is symmetric bit for bit
+        out = centred[start:stop] @ centred[start:].T
+        out *= -2.0
+        guard = np.add(norms[start:stop, None], norms[start:])
+        out += guard
+        guard *= GUARD_KAPPA
+        close = np.flatnonzero(out < guard)
+        if close.size:
+            i, j = np.divmod(close, out.shape[1])
+            diff = v[start + i] - v[start + j]
+            out.flat[close] = np.einsum("ij,ij->i", diff, diff)
+        yield out

@@ -3,7 +3,12 @@
 For every ordered (anchor, positive) pair the loss contrasts the pair's
 similarity against the members ranked at least as far from the anchor in
 time, weighting censoring-uncertain members by lambda. Similarity is
-negative Euclidean distance.
+negative Euclidean distance. The B x B distances come from one GEMM on
+the centred batch, |a|^2 + |b|^2 - 2 a.b (`core.sq_distance_blocks`); a pair
+whose squared distance falls below `core.GUARD_KAPPA` times |a|^2 + |b|^2,
+where that formula cancels, is recomputed from the difference of its
+rows, so identical views are exactly 0 apart and every distance is
+within about 20 gamma_{d+2} (7e-14 at d = 32) relative of the exact one.
 
 One kernel serves every batch size in O(B^2 log B) time and O(B^2)
 memory. One sort of the anchor's row by time threshold orders every sum:
@@ -17,14 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .core import LossConfig
+from .core import LossConfig, sq_distance_blocks
 from .pairsets import delta_bound_matrices
-
-
-class LengthMismatchError(ValueError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,15 +52,6 @@ class EmbeddingBatch:
     @property
     def size(self) -> int:
         return self.embeddings.shape[0]
-
-
-def similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Negative Euclidean distance; larger means more similar."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise LengthMismatchError(f"shape mismatch: {u.shape} vs {v.shape}")
-    return -float(np.linalg.norm(u - v))
 
 
 def total_loss(prognosis: float, survrnc: float, cfg: LossConfig) -> float:
@@ -115,7 +106,8 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
              for bound, place, weight in ((lo, 0, 1.0 - lam), (hi, -1, lam))
              if weight > 0]
     theta = np.take(theta, ranked)
-    dist = np.take(cdist(v, v), ranked)
+    sq_dist, = sq_distance_blocks(v, n)
+    dist = np.take(np.sqrt(sq_dist), ranked)
     x = -dist / tau
     is_self = ranked == rows * (n + 1)
     x[is_self] = -np.inf  # k = a never participates

@@ -21,6 +21,13 @@ All three metrics are exact, sort-based and loop-free:
 - `embedding_ordinality` is Spearman's rho, computed as Pearson's
   correlation of the twice-centred average ranks of the P = m(m-1)/2
   embedding distances and |time differences| of m uncensored patients.
+  Both statistics are written in place into one condensed array each,
+  in row blocks of about 0.5 MB: the time differences by subtraction (equal
+  to a cityblock `pdist` bit for bit), the embedding distances squared,
+  by one GEMM per block with close pairs recomputed from their
+  difference (`core.sq_distance_blocks`). Squaring is monotone, so the
+  ranks are those of the distances; duplicated embeddings are exactly 0
+  apart, and embeddings on a common binary grid keep their exact ties.
   Each statistic is ranked exactly, in int32, from one in-place sort of
   packed uint64 keys (see `_ordered_ranks`), and the correlation is read
   off exact integer dot products of the ranks: O(P log P) time, about 25
@@ -36,17 +43,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
-from .core import Dataset
+from .core import Dataset, sq_distance_blocks
 
 DEFAULT_HORIZON_FRACTIONS = (0.25, 0.5, 0.75)
 # largest number of uncensored pairs `embedding_ordinality` ranks; below
 # 2**31, so pair indices and ranks fit in int32 and the dropped low bits
 # of a packed key in uint32
 ORDINALITY_MAX_PAIRS = 2**24
+# entries per row block of a condensed pair statistic: 0.5 MB temporaries
+# that the next block reuses, whatever the number of patients
+_BLOCK_ENTRIES = 2**16
 
 
 class NoComparablePairsError(ValueError):
@@ -235,6 +245,26 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
                for i in range(0, a.size, block))
 
 
+def _time_difference_blocks(t: np.ndarray, rows: int) -> Iterator[np.ndarray]:
+    """|t[i] - t[j]| in the row blocks of `core.sq_distance_blocks`."""
+    for start in range(0, t.size, rows):
+        yield np.abs(t[start:start + rows, None] - t[start:])
+
+
+def _condensed(m: int, blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """The m(m-1)/2 statistics of the pairs i < j in row-major order (the
+    order of a condensed distance matrix), copied from row blocks: block
+    [r, k] of the block that starts at row `start` is the statistic of
+    the pair (start + r, start + k)."""
+    out = np.empty(m * (m - 1) // 2)
+    pos = 0
+    for block in blocks:
+        for r, row in enumerate(block):
+            out[pos:pos + row.size - r - 1] = row[r + 1:]
+            pos += row.size - r - 1
+    return out
+
+
 def embedding_ordinality(embeddings: np.ndarray, events: np.ndarray,
                          times: np.ndarray) -> float:
     """Spearman correlation of embedding distances vs |time differences|.
@@ -255,11 +285,14 @@ def embedding_ordinality(embeddings: np.ndarray, events: np.ndarray,
         return math.nan
     # each distance array is consumed by its ranking; the time ranks are
     # put in pair order, then gathered in the embedding distances' order
-    order, ranks = _ordered_ranks(pdist(times[idx, None], metric="cityblock"))
+    m = idx.size
+    rows = max(1, _BLOCK_ENTRIES // m)
+    order, ranks = _ordered_ranks(_condensed(m, _time_difference_blocks(times[idx], rows)))
     b = np.empty_like(ranks)
     b[order] = ranks
     del order, ranks  # before the second ranking, the peak
-    order, a = _ordered_ranks(pdist(embeddings[idx]))
+    # squared distances: the ranks, and so rho, are those of the distances
+    order, a = _ordered_ranks(_condensed(m, sq_distance_blocks(embeddings[idx], rows)))
     b = b[order]
     del order
     scale = math.sqrt(_exact_dot(a, a)) * math.sqrt(_exact_dot(b, b))

@@ -1,14 +1,19 @@
 """Reference implementations the production code is checked against.
 
-`dense_loss_and_grad` evaluates the contrastive loss over explicit
-(B, B, B) membership tensors in O(B^3) time and memory, and
-`pair_likelihood` evaluates one (anchor, positive) pair from its index
-sets. `loop_concordance_index` (one pass per event), `matrix_auc` (the
-cases x controls comparison matrices) and `spearman_ordinality`
-(`scipy.stats.spearmanr` over all uncensored pairs) are the O(n^2)
-metrics; `centred_ranks` ranks one pair statistic with an `argsort`, the
-reference for the packed-key ranks inside `embedding_ordinality`. None is
-fast; each is a direct transcription of the definition.
+`similarity` is the negative Euclidean distance of two vectors by direct
+difference, the definition the pair oracles use; `direct_sq_distances`
+and `time_differences` are scipy's direct-difference pair statistics,
+the references for the GEMM distances and the blocked time differences
+of the production code. `dense_loss_and_grad` evaluates the contrastive
+loss over explicit (B, B, B) membership tensors in O(B^3) time and
+memory, and `pair_likelihood` evaluates one (anchor, positive) pair from
+its index sets. `loop_concordance_index` (one pass per event),
+`matrix_auc` (the cases x controls comparison matrices) and
+`spearman_ordinality` (`scipy.stats.spearmanr` over all uncensored
+pairs) are the O(n^2) metrics; `centred_ranks` ranks one pair statistic
+with an `argsort`, the reference for the packed-key ranks inside
+`embedding_ordinality`. None is fast; each is a direct transcription of
+the definition.
 """
 
 from __future__ import annotations
@@ -16,17 +21,42 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 from scipy.stats import ConstantInputWarning, spearmanr
 
 from survrnc.core import LossConfig
-from survrnc.loss import EmbeddingBatch, similarity
+from survrnc.loss import EmbeddingBatch
 from survrnc.metrics import (
     NoComparablePairsError,
     TooFewUncensoredError,
     UndefinedAtHorizonError,
 )
 from survrnc.pairsets import PairSets, pair_set_masks
+
+
+class LengthMismatchError(ValueError):
+    pass
+
+
+def similarity(u: np.ndarray, v: np.ndarray) -> float:
+    """Negative Euclidean distance; larger means more similar."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape:
+        raise LengthMismatchError(f"shape mismatch: {u.shape} vs {v.shape}")
+    return -float(np.linalg.norm(u - v))
+
+
+def direct_sq_distances(v) -> np.ndarray:
+    """Squared Euclidean distances of every pair of rows, each summed from
+    the difference of the rows: relative error at most gamma_{d+1}."""
+    v = np.asarray(v, dtype=float)
+    return cdist(v, v, "sqeuclidean")
+
+
+def time_differences(t) -> np.ndarray:
+    """|t_i - t_j| over the pairs i < j, in condensed (row-major) order."""
+    return pdist(np.asarray(t, dtype=float)[:, None], "cityblock")
 
 
 def pair_likelihood(batch: EmbeddingBatch, a: int, p: int, sets: PairSets,

@@ -201,9 +201,10 @@ class TestLambdaSweepCommand:
             assert 0.0 <= row["val_ci"] <= 1.0
 
 
-def run_python(code, *args) -> str:
-    """stdout of `code` run by a fresh interpreter that imports this survrnc."""
-    env = dict(os.environ)
+def run_python(code, *args, **env_vars) -> str:
+    """stdout of `code` run by a fresh interpreter that imports this survrnc,
+    with `env_vars` added to the environment."""
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(survrnc.__file__).resolve().parents[1]),
                     env.get("PYTHONPATH")) if p)
@@ -212,10 +213,28 @@ def run_python(code, *args) -> str:
 
 
 class TestImportCost:
-    def test_package_and_cli_do_not_load_scipy_stats(self):
+    def test_package_and_cli_do_not_load_scipy(self):
         code = ("import sys, survrnc, survrnc.cli; "
-                "print('scipy.stats' in sys.modules)")
-        assert run_python(code).strip() == "False"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert run_python(code).strip() == "[]"
+
+
+class TestBlasThreads:
+    def test_training_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # GEMM makes the loss distances and the layers; 256 views per step
+        ds, _ = generate_synthetic(
+            SynthConfig(n=1000, d_in=10, target_censoring=0.6, seed=3))
+        save_csv(ds, tmp_path / "data.csv")
+        train = ("import sys; from survrnc.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))")
+        for threads in ("1", "2"):
+            run_python(train, "train", "--data", str(tmp_path / "data.csv"),
+                       "--seed", "0", "--epochs", "2", "--batch-size", "128",
+                       "--head", "deephit", "--out-dir", str(tmp_path / threads),
+                       OPENBLAS_NUM_THREADS=threads)
+        for name in ("history.json", "checkpoint.json"):
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes()), name
 
 
 FAULTS_DURING_TRAINING = """

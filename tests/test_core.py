@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oracles import direct_sq_distances
 from survrnc.core import (
+    GUARD_KAPPA,
     Dataset,
     DegenerateTimesWarning,
     LossConfig,
@@ -12,6 +14,7 @@ from survrnc.core import (
     TimeGrid,
     ValidationError,
     discretize_time,
+    sq_distance_blocks,
     validate_dataset,
 )
 
@@ -179,3 +182,92 @@ class TestLossConfig:
             LossConfig(beta=-0.1)
         cfg = LossConfig(temperature=2.0, lam=0.5, beta=1.0)
         assert cfg.lam == 0.5
+
+
+def gamma(k):
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+def assembled(v, rows):
+    """The blocks of `rows` rows written back into an n x n matrix; the
+    entries no block covers (below the blocks' diagonals) are NaN."""
+    n = v.shape[0]
+    full = np.full((n, n), np.nan)
+    for start, block in zip(range(0, n, rows), sq_distance_blocks(v, rows),
+                            strict=True):
+        assert block.shape == (min(rows, n - start), n - start)
+        full[start:start + block.shape[0], start:] = block
+    return full
+
+
+def kappa_pair(rng, d, ratio):
+    """Rows a, b with |a - b|^2 = ratio * (|a|^2 + |b|^2), then three zero
+    rows, so every column's middle value is 0 and the rows are centred
+    as they stand."""
+    basis, _ = np.linalg.qr(rng.standard_normal((d, 2)))
+    phi = np.arccos(1.0 - ratio)  # |a| = |b| = rho: |a - b|^2 = 2 rho^2 (1 - cos phi)
+    rho = 10.0 ** rng.uniform(-3, 3)
+    v = np.zeros((5, d))
+    v[0] = rho * basis[:, 0]
+    v[1] = rho * (np.cos(phi) * basis[:, 0] + np.sin(phi) * basis[:, 1])
+    return v
+
+
+class TestSqDistanceBlocks:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 40),
+           st.sampled_from(["plain", "offset_1e6", "column_offsets", "outlier",
+                            "duplicates"]))
+    @settings(max_examples=200, deadline=None)
+    def test_within_stated_bound_of_direct_oracle(self, seed, n, d, kind):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3)
+        if kind == "offset_1e6":
+            v += 1e6
+        elif kind == "column_offsets":
+            v += rng.uniform(-1e6, 1e6, d)
+        elif kind == "outlier":
+            v[rng.integers(n)] += 3000.0 * rng.standard_normal(d)
+        elif kind == "duplicates":
+            v[rng.integers(n, size=n)] = v[rng.integers(n, size=n)]
+        got = assembled(v, int(rng.integers(1, n + 1)))
+        want = direct_sq_distances(v)
+        upper = np.triu_indices(n)
+        # the stated bound of the helper plus the oracle's own gamma_{d+1}
+        bound = (2 / GUARD_KAPPA + 1) * gamma(d + 2)
+        assert np.all(np.abs(got - want)[upper] <= bound * want[upper])
+
+    def test_duplicated_rows_are_exactly_zero(self):
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal((12, 5)) + 1e6
+        v[[3, 7, 11]] = v[0]
+        v[9] = v[4]
+        got, = sq_distance_blocks(v, 12)
+        same = (v[:, None, :] == v[None, :, :]).all(axis=2)
+        assert np.all(got[same] == 0.0)
+        assert np.all(got[~same] > 0.0)
+
+    def test_full_block_is_symmetric_and_non_negative(self):
+        rng = np.random.default_rng(1)
+        for n in (2, 3, 64, 129, 256):
+            v = rng.standard_normal((n, 32)) * 3.0
+            v[1::2] = v[::2][: n // 2] + 1e-3 * rng.standard_normal((n // 2, 32))
+            got, = sq_distance_blocks(v, n)
+            assert np.array_equal(got, got.T)
+            assert np.all(got >= 0.0) and np.all(np.diag(got) == 0.0)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_just_below_kappa_is_the_direct_difference(self, seed, d):
+        v = kappa_pair(np.random.default_rng(seed), d, GUARD_KAPPA * (1 - 1e-6))
+        got, = sq_distance_blocks(v, 5)
+        diff = v[:1] - v[1:2]
+        assert got[0, 1] == np.einsum("ij,ij->i", diff, diff)[0]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_just_above_kappa_is_within_the_bound(self, seed, d):
+        v = kappa_pair(np.random.default_rng(seed), d, GUARD_KAPPA * (1 + 1e-6))
+        got, = sq_distance_blocks(v, 5)
+        want = direct_sq_distances(v)[0, 1]
+        assert abs(got[0, 1] - want) <= (2 / GUARD_KAPPA + 1) * gamma(d + 2) * want

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_loss_and_grad, pair_likelihood
+from oracles import LengthMismatchError, dense_loss_and_grad, pair_likelihood, similarity
 from survrnc.core import LossConfig, Patient
 from survrnc.loss import (
     EmbeddingBatch,
-    LengthMismatchError,
-    similarity,
     survrnc_loss,
     survrnc_loss_and_grad,
     survrnc_loss_grad,
@@ -309,6 +307,25 @@ class TestOracleAgreement:
             assert survrnc_loss(b, CFG) == value
         assert np.isfinite(value) and np.all(np.isfinite(grad))
         assert np.abs(grad.sum(axis=0)).max() / np.abs(grad).max() < 1e-10
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 11),
+           st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_far_outlier_fuzz_matches_dense_oracle(self, seed, n, lam):
+        # one member 3000 sd away: its similarities underflow exp, and
+        # about the batch mean the others' norms dwarf their distances, so
+        # |a|^2 + |b|^2 - 2 a.b would cancel there
+        rng = np.random.default_rng(seed)
+        emb = rng.standard_normal((n, 3))
+        emb[rng.integers(n)] += 3000.0 * rng.standard_normal(3)
+        events = (rng.random(n) < 0.6).astype(int)
+        times = rng.integers(1, 6, n).astype(float)
+        b = EmbeddingBatch(emb, events, times)
+        cfg = LossConfig(2.0, lam, 1.0)
+        v1, g1 = dense_loss_and_grad(b, cfg)
+        v2, g2 = survrnc_loss_and_grad(b, cfg)
+        assert abs(v1 - v2) <= 1e-12 * max(abs(v1), 1.0)
+        assert np.abs(g1 - g2).max() <= 1e-8 * np.abs(g1).max()
 
     def test_far_outlier_stays_finite_and_exact(self):
         # one view 3000 units from the rest: exp(sim / tau) = exp(-1500)

@@ -24,9 +24,11 @@ from survrnc.metrics import (
 
 from oracles import (
     centred_ranks,
+    direct_sq_distances,
     loop_concordance_index,
     matrix_auc,
     spearman_ordinality,
+    time_differences,
 )
 from test_cli import run_python
 
@@ -380,6 +382,30 @@ class TestOrdinalityMemory:
         # 1,999,000 pairs: ranking with argsort took 57-67 B per pair,
         # the packed-key ranks take about 27
         assert float(run_python(ORDINALITY_PEAK_PER_PAIR, times)) < 40
+
+
+class TestCondensedPairs:
+    """The pair statistics `embedding_ordinality` ranks, in condensed order,
+    whatever the block height."""
+
+    @pytest.mark.parametrize("m,rows", [(2, 1), (3, 1), (3, 3), (5, 2), (40, 7),
+                                        (40, 40), (701, 262), (1500, 174)])
+    def test_time_differences_equal_cityblock_pdist_bitwise(self, m, rows):
+        rng = np.random.default_rng(m)
+        t = np.where(rng.random(m) < 0.5, np.ceil(365 * rng.exponential(1.0, m)),
+                     rng.exponential(3.0, m))
+        got = metrics._condensed(m, metrics._time_difference_blocks(t, rows))
+        assert np.array_equal(got, time_differences(t))
+
+    @pytest.mark.parametrize("m,rows", [(3, 1), (5, 2), (40, 7), (701, 262)])
+    def test_sq_distances_in_condensed_order(self, m, rows):
+        rng = np.random.default_rng(m)
+        emb = rng.standard_normal((m, 32)) + 50.0
+        emb[m // 2] = emb[0]
+        got = metrics._condensed(m, metrics.sq_distance_blocks(emb, rows))
+        want = direct_sq_distances(emb)[np.triu_indices(m, 1)]
+        assert got[m // 2 - 1] == want[m // 2 - 1] == 0.0
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 class TestOrdinalityCap:
