@@ -16,13 +16,7 @@ from .core import (
     validate_dataset,
 )
 from .data import AugmentConfig, SynthConfig, generate_synthetic, load_csv, save_csv
-from .loss import (
-    EmbeddingBatch,
-    survrnc_loss,
-    survrnc_loss_and_grad,
-    survrnc_loss_grad,
-    total_loss,
-)
+from .loss import EmbeddingBatch, survrnc_loss, survrnc_loss_and_grad
 from .metrics import (
     EvalReport,
     concordance_index,
@@ -87,8 +81,6 @@ __all__ = [
     "save_csv",
     "survrnc_loss",
     "survrnc_loss_and_grad",
-    "survrnc_loss_grad",
-    "total_loss",
     "train",
     "true_time_interval",
     "validate_dataset",

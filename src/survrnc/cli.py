@@ -1,81 +1,77 @@
 """Command-line surface: generate, train, evaluate, export-embeddings,
 pairsets, lambda-sweep.
 
-`train` reads an optional JSON config mirroring TrainConfig field names;
-every field can be overridden with a flag, and --seed is mandatory.
+`train` and `lambda-sweep` read an optional JSON config mirroring the
+TrainConfig field names; every field but `activation` and the
+augmentation seed can be overridden with a flag, and --seed is mandatory.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import pairsets as ps
 from . import trainer
-from .data import SynthConfig, load_csv, save_csv, generate_synthetic
+from .data import _SAMPLER_MODES, SynthConfig, load_csv, save_csv, generate_synthetic
 from .trainer import TrainConfig
 
-_CLASS_LETTER = {
-    ps.PairClass.NEGATIVE: "N",
-    ps.PairClass.UNCERTAIN: "U",
-    ps.PairClass.DISREGARD: "D",
-}
+# The train and lambda-sweep flags come from the TrainConfig fields, with
+# LossConfig and AugmentConfig flattened into them: one flag per field,
+# spelled as the field with dashes and routed to the same place in the
+# config. The exceptions:
+_FLAG_NAMES = {"lam": "lambda"}  # also the field's key in a config file
+_FLAG_CHOICES = {"head": trainer._HEADS, "sampler": _SAMPLER_MODES}
+_NO_FLAG = {("activation",), ("augment", "seed")}
+# --hidden-widths takes a comma-separated list, and each subcommand
+# declares --seed itself.
+
+
+def _config_fields(cls=TrainConfig, path=()):
+    """(path, default) of every config field that a flag can set."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default):
+            yield from _config_fields(type(f.default), path + (f.name,))
+        elif path + (f.name,) not in _NO_FLAG:
+            yield path + (f.name,), f.default
+
+
+def _widths(text: str) -> list[int]:
+    return [int(w) for w in text.split(",")]
 
 
 def _add_train_overrides(parser: argparse.ArgumentParser):
     parser.add_argument("--config", type=Path, help="JSON config file")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--weight-decay", type=float, dest="weight_decay")
-    parser.add_argument("--head", choices=("mtlr", "deephit"))
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--lambda", type=float, dest="lam")
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--num-bins", type=int, dest="num_bins")
-    parser.add_argument("--noise-std", type=float, dest="noise_std")
-    parser.add_argument("--feature-dropout-prob", type=float,
-                        dest="feature_dropout_prob")
-    parser.add_argument("--sampler", choices=("uniform", "event_balanced"))
-    parser.add_argument("--hidden-widths", dest="hidden_widths",
-                        help="comma-separated, e.g. 64,32")
-    parser.add_argument("--d-emb", type=int, dest="d_emb")
-    parser.add_argument("--deephit-sigma", type=float, dest="deephit_sigma")
-    parser.add_argument("--deephit-rank-weight", type=float,
-                        dest="deephit_rank_weight")
+    for path, default in _config_fields():
+        if path == ("seed",):
+            continue
+        name = path[-1]
+        flag = "--" + _FLAG_NAMES.get(name, name).replace("_", "-")
+        if name in _FLAG_CHOICES:
+            parser.add_argument(flag, dest=name, choices=_FLAG_CHOICES[name])
+        elif isinstance(default, tuple):
+            parser.add_argument(flag, dest=name, type=_widths,
+                                help="comma-separated, e.g. 64,32")
+        else:
+            parser.add_argument(flag, dest=name, type=type(default))
 
 
-def _resolve_config(args: argparse.Namespace, require_seed: bool) -> TrainConfig:
+def _resolve_config(args: argparse.Namespace) -> TrainConfig:
     raw: dict = {}
     if args.config is not None:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    loss_d = dict(raw.get("loss", {}))
-    aug_d = dict(raw.get("augment", {}))
-    for key in ("temperature", "beta"):
-        value = getattr(args, key, None)
+    for (*parents, name), _ in _config_fields():
+        value = getattr(args, name)
         if value is not None:
-            loss_d[key] = value
-    if getattr(args, "lam", None) is not None:
-        loss_d.pop("lambda", None)
-        loss_d["lam"] = args.lam
-    for key in ("noise_std", "feature_dropout_prob"):
-        value = getattr(args, key, None)
-        if value is not None:
-            aug_d[key] = value
-    for key in ("epochs", "batch_size", "lr", "weight_decay", "head",
-                "num_bins", "sampler", "d_emb", "deephit_sigma",
-                "deephit_rank_weight", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
-    if getattr(args, "hidden_widths", None) is not None:
-        raw["hidden_widths"] = [int(w) for w in args.hidden_widths.split(",")]
-    if require_seed and raw.get("seed") is None:
+            node = raw
+            for key in parents:
+                node = node.setdefault(key, {})
+            node[_FLAG_NAMES.get(name, name)] = value
+    if raw.get("seed") is None:
         raise SystemExit("error: --seed is required for training")
-    raw["loss"] = loss_d
-    raw["augment"] = aug_d
     return TrainConfig.from_dict(raw)
 
 
@@ -102,7 +98,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _resolve_config(args, require_seed=True)
+    cfg = _resolve_config(args)
     dataset = load_csv(args.data)
     model, history = trainer.train(dataset, cfg)
     out_dir = Path(args.out_dir)
@@ -160,7 +156,7 @@ def _cmd_pairsets(args) -> int:
 
 
 def _cmd_lambda_sweep(args) -> int:
-    cfg = _resolve_config(args, require_seed=True)
+    cfg = _resolve_config(args)
     dataset = load_csv(args.data)
     lambdas = [float(x) for x in args.lambdas.split(",")]
     table = trainer.lambda_sweep(dataset, cfg, lambdas)

@@ -59,11 +59,6 @@ def pmf_from_logits(output: HeadOutput) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _log_pmf(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
 def survival_curve(pmf: np.ndarray, grid: TimeGrid) -> SurvivalCurve:
     """Tail-mass transform: S(cut_k) = mass strictly beyond bin k."""
     pmf = np.asarray(pmf, dtype=float)
@@ -83,45 +78,39 @@ def _start_bins(times: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return np.asarray(grid.bin_index(np.asarray(times, dtype=float)))
 
 
-def mtlr_loss(output: HeadOutput, events: np.ndarray, times: np.ndarray,
-              grid: TimeGrid) -> float:
-    """Censoring-marginalized NLL over the bin PMF, mean over the batch.
+def mtlr_loss_and_grad(output: HeadOutput, events: np.ndarray,
+                       times: np.ndarray, grid: TimeGrid):
+    """Censoring-marginalized NLL over the bin PMF, mean over the batch,
+    and its gradient d loss / d logits, shape (B, K+1).
 
     Uncensored: -log pmf at the event bin. Censored: -log of the summed
     mass over all censoring-consistent bins.
     """
     _check_width(output, grid)
     events = np.asarray(events, dtype=int)
-    logp = _log_pmf(output.logits)
-    start = _start_bins(times, grid)
-    rows = np.arange(logp.shape[0])
-    uncens_ll = logp[rows, start]
-    # log of the consistent-tail mass, computed in log space
-    tail_mask = np.arange(logp.shape[1])[None, :] >= start[:, None]
-    shifted = np.where(tail_mask, logp, -np.inf)
-    m = shifted.max(axis=1)
-    cens_ll = m + np.log(np.exp(shifted - m[:, None]).sum(axis=1))
-    ll = np.where(events == 1, uncens_ll, cens_ll)
-    return float(-ll.mean())
-
-
-def mtlr_loss_grad(output: HeadOutput, events: np.ndarray, times: np.ndarray,
-                   grid: TimeGrid) -> np.ndarray:
-    """d mtlr_loss / d logits, shape (B, K+1)."""
-    _check_width(output, grid)
-    events = np.asarray(events, dtype=int)
-    pmf = pmf_from_logits(output)
+    z = output.logits - output.logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    logp = z - np.log(total)
+    pmf = e / total
     n, width = pmf.shape
     start = _start_bins(times, grid)
     rows = np.arange(n)
     tail_mask = np.arange(width)[None, :] >= start[:, None]
-    tail_mass = np.where(tail_mask, pmf, 0.0).sum(axis=1)
+    uncensored = events == 1
 
+    # log of the consistent-tail mass, computed in log space
+    shifted = np.where(tail_mask, logp, -np.inf)
+    m = shifted.max(axis=1)
+    cens_ll = m + np.log(np.exp(shifted - m[:, None]).sum(axis=1))
+    ll = np.where(uncensored, logp[rows, start], cens_ll)
+
+    tail_mass = np.where(tail_mask, pmf, 0.0).sum(axis=1)
     grad_uncens = pmf.copy()
     grad_uncens[rows, start] -= 1.0
     grad_cens = pmf * (1.0 - tail_mask / tail_mass[:, None])
-    grad = np.where((events == 1)[:, None], grad_uncens, grad_cens)
-    return grad / n
+    grad = np.where(uncensored[:, None], grad_uncens, grad_cens)
+    return float(-ll.mean()), grad / n
 
 
 def _rank_pairs(events: np.ndarray, times: np.ndarray):
@@ -131,54 +120,36 @@ def _rank_pairs(events: np.ndarray, times: np.ndarray):
     return (events[:, None] == 1) & (times[:, None] < times[None, :])
 
 
-def deephit_loss(output: HeadOutput, events: np.ndarray, times: np.ndarray,
-                 grid: TimeGrid, sigma: float = 0.1,
-                 rank_weight: float = 0.5) -> float:
-    """Likelihood term plus exponential pairwise ranking penalty.
+def deephit_loss_and_grad(output: HeadOutput, events: np.ndarray,
+                          times: np.ndarray, grid: TimeGrid, sigma: float = 0.1,
+                          rank_weight: float = 0.5):
+    """Likelihood term plus exponential pairwise ranking penalty, and its
+    gradient d loss / d logits, shape (B, K+1).
 
     The ranking term averages exp(-(F_i(T_i) - F_j(T_i)) / sigma) over
     admissible pairs, F being the cumulative incidence up to and
     including a time's bin; it is zero when no admissible pair exists.
     """
-    _check_width(output, grid)
-    likelihood = mtlr_loss(output, events, times, grid)
+    likelihood, grad = mtlr_loss_and_grad(output, events, times, grid)
     adm = _rank_pairs(events, times)
     if not adm.any():
-        return likelihood
+        return likelihood, grad
     pmf = pmf_from_logits(output)
     cif = np.cumsum(pmf, axis=1)
     bins = _start_bins(times, grid)
     f_at = cif[:, bins]            # f_at[j, i] = F_j(T_i)
     own = np.diag(f_at)            # F_i(T_i)
     margins = own[:, None] - f_at.T
-    rank = float(np.exp(-margins[adm] / sigma).sum() / adm.sum())
-    return likelihood + rank_weight * rank
-
-
-def deephit_loss_grad(output: HeadOutput, events: np.ndarray,
-                      times: np.ndarray, grid: TimeGrid, sigma: float = 0.1,
-                      rank_weight: float = 0.5) -> np.ndarray:
-    """d deephit_loss / d logits, shape (B, K+1)."""
-    _check_width(output, grid)
-    grad = mtlr_loss_grad(output, events, times, grid)
-    adm = _rank_pairs(events, times)
-    if not adm.any():
-        return grad
-    pmf = pmf_from_logits(output)
-    n, width = pmf.shape
-    cif = np.cumsum(pmf, axis=1)
-    bins = _start_bins(times, grid)
-    f_at = cif[:, bins]
-    own = np.diag(f_at)
-    margins = own[:, None] - f_at.T
     c = np.where(adm, np.exp(-margins / sigma), 0.0)
-    c *= rank_weight / (sigma * adm.sum())
+    pairs = adm.sum()
+    rank = float(c[adm].sum() / pairs)
+    c *= rank_weight / (sigma * pairs)
 
-    cum_mask = np.arange(width)[None, :] <= bins[:, None]  # (B, K+1), 1[l <= b_i]
+    cum_mask = np.arange(pmf.shape[1])[None, :] <= bins[:, None]  # (B, K+1), 1[l <= b_i]
     # d F_r(b) / d u_r,l = pmf_r,l * (1[l <= b] - F_r(b))
     alpha = c.sum(axis=1)
     grad -= alpha[:, None] * pmf * (cum_mask - own[:, None])
     lhs = c.T @ cum_mask                        # sum_i c_ij * 1[l <= b_i]
     rhs = np.einsum("ji,ij->j", f_at, c)        # sum_i c_ij * F_j(T_i)
     grad += pmf * (lhs - rhs[:, None])
-    return grad
+    return likelihood + rank_weight * rank, grad

@@ -54,21 +54,10 @@ class EmbeddingBatch:
         return self.embeddings.shape[0]
 
 
-def total_loss(prognosis: float, survrnc: float, cfg: LossConfig) -> float:
-    """Training objective: native prognosis loss plus beta times the contrast."""
-    return prognosis + cfg.beta * survrnc
-
-
 def survrnc_loss(batch: EmbeddingBatch, cfg: LossConfig) -> float:
     """Mean negative log pair likelihood over all ordered (a, p) pairs."""
     value, _ = _loss_and_grad(batch, cfg, want_grad=False)
     return value
-
-
-def survrnc_loss_grad(batch: EmbeddingBatch, cfg: LossConfig) -> np.ndarray:
-    """d loss / d embeddings, one row per embedding row."""
-    _, grad = _loss_and_grad(batch, cfg, want_grad=True)
-    return grad
 
 
 def survrnc_loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig):

@@ -26,12 +26,6 @@ class PairClass(enum.Enum):
     DISREGARD = "disregard"
 
 
-# integer codes used by the vectorized batch path
-DISREGARD_CODE = 0
-UNCERTAIN_CODE = 1
-NEGATIVE_CODE = 2
-EXCLUDED_CODE = -1
-
 @dataclass(frozen=True)
 class TimeInterval:
     """Closed-below range [lo, hi] for an unobservable non-negative quantity."""
@@ -164,16 +158,3 @@ def pair_set_masks(events: np.ndarray, times: np.ndarray):
         mask[idx, idx, :] = False  # p = a is not a pair
     return neg, unc
 
-
-def classification_tensor(events: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Int8 codes for all (a, p, k) triples; EXCLUDED_CODE marks k = a
-    slots and p = a rows. See `pair_set_masks` for the conventions."""
-    neg, unc = pair_set_masks(events, times)
-    n = len(np.asarray(times))
-    codes = np.full((n, n, n), DISREGARD_CODE, dtype=np.int8)
-    codes[unc] = UNCERTAIN_CODE
-    codes[neg] = NEGATIVE_CODE
-    idx = np.arange(n)
-    codes[idx, :, idx] = EXCLUDED_CODE
-    codes[idx, idx, :] = EXCLUDED_CODE
-    return codes

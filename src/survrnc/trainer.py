@@ -70,27 +70,9 @@ class TrainConfig:
                            tuple(int(w) for w in self.hidden_widths))
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "head": self.head,
-            "loss": {"temperature": self.loss.temperature,
-                     "lambda": self.loss.lam,
-                     "beta": self.loss.beta},
-            "num_bins": self.num_bins,
-            "augment": {"noise_std": self.augment.noise_std,
-                        "feature_dropout_prob": self.augment.feature_dropout_prob,
-                        "seed": self.augment.seed},
-            "sampler": self.sampler,
-            "hidden_widths": list(self.hidden_widths),
-            "d_emb": self.d_emb,
-            "activation": self.activation,
-            "deephit_sigma": self.deephit_sigma,
-            "deephit_rank_weight": self.deephit_rank_weight,
-            "seed": self.seed,
-        }
+        data = dataclasses.asdict(self)
+        data["loss"]["lambda"] = data["loss"].pop("lam")
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -156,19 +138,6 @@ def stratified_split(dataset: Dataset, seed: int,
         val_idx.extend(members[:n_val])
         train_idx.extend(members[n_val:])
     return np.sort(train_idx).astype(int), np.sort(val_idx).astype(int)
-
-
-def _head_loss_and_grad(kind: str, output: heads.HeadOutput, events, times,
-                        grid: TimeGrid, cfg: TrainConfig):
-    if kind == "mtlr":
-        value = heads.mtlr_loss(output, events, times, grid)
-        grad = heads.mtlr_loss_grad(output, events, times, grid)
-    else:
-        value = heads.deephit_loss(output, events, times, grid,
-                                   cfg.deephit_sigma, cfg.deephit_rank_weight)
-        grad = heads.deephit_loss_grad(output, events, times, grid,
-                                       cfg.deephit_sigma, cfg.deephit_rank_weight)
-    return value, grad
 
 
 def _check_feature_names(model: TrainedModel, dataset: Dataset) -> None:
@@ -266,15 +235,19 @@ def train(dataset: Dataset, cfg: TrainConfig):
             logits, head_tape = nn.forward(head, emb)
             _check_finite(step, "head logits", logits)
             output = heads.HeadOutput(logits)
-            prog_value, dlogits = _head_loss_and_grad(
-                cfg.head, output, ev2, t2, grid, cfg)
+            if cfg.head == "deephit":
+                prog_value, dlogits = heads.deephit_loss_and_grad(
+                    output, ev2, t2, grid, cfg.deephit_sigma,
+                    cfg.deephit_rank_weight)
+            else:
+                prog_value, dlogits = heads.mtlr_loss_and_grad(output, ev2, t2, grid)
             emb_batch = loss_mod.EmbeddingBatch(emb, ev2, t2)
             if beta != 0.0:
                 rnc_value, rnc_grad = loss_mod.survrnc_loss_and_grad(
                     emb_batch, cfg.loss)
             else:
                 rnc_value, rnc_grad = loss_mod.survrnc_loss(emb_batch, cfg.loss), None
-            total = loss_mod.total_loss(prog_value, rnc_value, cfg.loss)
+            total = prog_value + beta * rnc_value
             if not (np.isfinite(prog_value) and np.isfinite(rnc_value)):
                 raise NonFiniteLossError(
                     step, f"loss (prognosis={prog_value}, survrnc={rnc_value})")

@@ -7,7 +7,8 @@ the references for the GEMM distances and the blocked time differences
 of the production code. `dense_loss_and_grad` evaluates the contrastive
 loss over explicit (B, B, B) membership tensors in O(B^3) time and
 memory, and `pair_likelihood` evaluates one (anchor, positive) pair from
-its index sets. `loop_concordance_index` (one pass per event),
+its index sets; `classification_tensor` codes every (anchor, positive,
+member) triple of a batch from `pair_set_masks`. `loop_concordance_index` (one pass per event),
 `matrix_auc` (the cases x controls comparison matrices) and
 `spearman_ordinality` (`scipy.stats.spearmanr` over all uncensored
 pairs) are the O(n^2) metrics; `centred_ranks` ranks one pair statistic
@@ -57,6 +58,27 @@ def direct_sq_distances(v) -> np.ndarray:
 def time_differences(t) -> np.ndarray:
     """|t_i - t_j| over the pairs i < j, in condensed (row-major) order."""
     return pdist(np.asarray(t, dtype=float)[:, None], "cityblock")
+
+
+# integer codes of `classification_tensor`
+DISREGARD_CODE = 0
+UNCERTAIN_CODE = 1
+NEGATIVE_CODE = 2
+EXCLUDED_CODE = -1
+
+
+def classification_tensor(events: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Int8 codes for all (a, p, k) triples; EXCLUDED_CODE marks k = a
+    slots and p = a rows. See `pair_set_masks` for the conventions."""
+    neg, unc = pair_set_masks(events, times)
+    n = len(np.asarray(times))
+    codes = np.full((n, n, n), DISREGARD_CODE, dtype=np.int8)
+    codes[unc] = UNCERTAIN_CODE
+    codes[neg] = NEGATIVE_CODE
+    idx = np.arange(n)
+    codes[idx, :, idx] = EXCLUDED_CODE
+    codes[idx, idx, :] = EXCLUDED_CODE
+    return codes
 
 
 def pair_likelihood(batch: EmbeddingBatch, a: int, p: int, sets: PairSets,

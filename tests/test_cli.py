@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import platform
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 import survrnc
-from survrnc.cli import main
+from survrnc import trainer
+from survrnc.cli import build_parser, main
 from survrnc.data import load_csv, save_csv, SynthConfig, generate_synthetic
 from survrnc.core import Dataset, Patient
-from survrnc.trainer import FeatureMismatchError
+from survrnc.trainer import FeatureMismatchError, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,106 @@ class TestTrain:
         main(args + ["--out-dir", str(d2)])
         assert (d1 / "history.json").read_bytes() == (d2 / "history.json").read_bytes()
         assert (d1 / "checkpoint.json").read_bytes() == (d2 / "checkpoint.json").read_bytes()
+
+
+def _subcommand(name: str) -> argparse.ArgumentParser:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+# the TrainConfig flags of train and lambda-sweep, in --help order:
+# (flag, dest, choices)
+CONFIG_FLAGS = [
+    ("--config", "config", None),
+    ("--epochs", "epochs", None),
+    ("--batch-size", "batch_size", None),
+    ("--lr", "lr", None),
+    ("--weight-decay", "weight_decay", None),
+    ("--head", "head", ("mtlr", "deephit")),
+    ("--temperature", "temperature", None),
+    ("--lambda", "lam", None),
+    ("--beta", "beta", None),
+    ("--num-bins", "num_bins", None),
+    ("--noise-std", "noise_std", None),
+    ("--feature-dropout-prob", "feature_dropout_prob", None),
+    ("--sampler", "sampler", ("uniform", "event_balanced")),
+    ("--hidden-widths", "hidden_widths", None),
+    ("--d-emb", "d_emb", None),
+    ("--deephit-sigma", "deephit_sigma", None),
+    ("--deephit-rank-weight", "deephit_rank_weight", None),
+]
+
+# every config flag away from its default (and from the config file below)
+CONFIG_ARGS = [
+    "--epochs", "1", "--batch-size", "8", "--lr", "0.002",
+    "--weight-decay", "0.001", "--head", "deephit", "--temperature", "1.5",
+    "--lambda", "0.25", "--beta", "0.75", "--num-bins", "3",
+    "--noise-std", "0.05", "--feature-dropout-prob", "0.2",
+    "--sampler", "uniform", "--hidden-widths", "6,5", "--d-emb", "3",
+    "--deephit-sigma", "0.2", "--deephit-rank-weight", "0.4", "--seed", "13",
+]
+EXPECTED_CONFIG = {
+    "epochs": 1, "batch_size": 8, "lr": 0.002, "weight_decay": 0.001,
+    "head": "deephit",
+    "loss": {"temperature": 1.5, "lambda": 0.25, "beta": 0.75},
+    "num_bins": 3,
+    # activation and the augmentation seed have no flag: from the file
+    "augment": {"noise_std": 0.05, "feature_dropout_prob": 0.2, "seed": 4},
+    "sampler": "uniform", "hidden_widths": [6, 5], "d_emb": 3,
+    "activation": "tanh", "deephit_sigma": 0.2, "deephit_rank_weight": 0.4,
+    "seed": 13,
+}
+
+
+class TestConfigFlags:
+    @pytest.fixture
+    def file_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "epochs": 2, "batch_size": 16, "lr": 0.01, "weight_decay": 0.0,
+            "head": "mtlr", "num_bins": 5, "sampler": "event_balanced",
+            "hidden_widths": [8], "d_emb": 4, "activation": "tanh",
+            "deephit_sigma": 0.5, "deephit_rank_weight": 0.9, "seed": 2,
+            "loss": {"temperature": 3.0, "lambda": 0.5, "beta": 1.0},
+            "augment": {"noise_std": 0.3, "feature_dropout_prob": 0.3, "seed": 4},
+        }))
+        return path
+
+    @pytest.mark.parametrize("command, own", [
+        ("train", [("--data", "data", None), ("--out-dir", "out_dir", None),
+                   ("--seed", "seed", None)]),
+        ("lambda-sweep", [("--data", "data", None), ("--lambdas", "lambdas", None),
+                          ("--out", "out", None), ("--seed", "seed", None)]),
+    ])
+    def test_help_flags_are_pinned(self, command, own):
+        got = [(flag, a.dest, None if a.choices is None else tuple(a.choices))
+               for a in _subcommand(command)._actions
+               for flag in a.option_strings if flag.startswith("--")]
+        assert got == [("--help", "help", None), *own, *CONFIG_FLAGS]
+
+    def test_every_config_flag_is_exercised(self):
+        given = {arg for arg in CONFIG_ARGS if arg.startswith("--")}
+        assert given == {flag for flag, _, _ in CONFIG_FLAGS[1:]} | {"--seed"}
+
+    def test_train_flags_reach_written_config(self, data_csv, file_config,
+                                              tmp_path):
+        main(["train", "--data", str(data_csv), "--config", str(file_config),
+              "--out-dir", str(tmp_path), *CONFIG_ARGS])
+        history = json.loads((tmp_path / "history.json").read_text())
+        assert history["config"] == EXPECTED_CONFIG
+        ckpt = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert ckpt["train_config"] == EXPECTED_CONFIG
+
+    def test_lambda_sweep_flags_reach_config(self, data_csv, file_config,
+                                             tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(trainer, "lambda_sweep",
+                            lambda dataset, cfg, lambdas: seen.append(cfg) or [])
+        main(["lambda-sweep", "--data", str(data_csv), "--config",
+              str(file_config), "--lambdas", "0.3", "--out",
+              str(tmp_path / "sweep.json"), *CONFIG_ARGS])
+        assert seen == [TrainConfig.from_dict(EXPECTED_CONFIG)]
 
 
 @pytest.fixture(scope="module")

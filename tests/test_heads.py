@@ -8,10 +8,8 @@ from survrnc.core import TimeGrid
 from survrnc.heads import (
     BinWidthMismatchError,
     HeadOutput,
-    deephit_loss,
-    deephit_loss_grad,
-    mtlr_loss,
-    mtlr_loss_grad,
+    deephit_loss_and_grad,
+    mtlr_loss_and_grad,
     pmf_from_logits,
     risk_score,
     survival_curve,
@@ -23,6 +21,14 @@ GRID1 = TimeGrid(np.array([10.0]))           # K = 1, K+1 = 2 bins
 
 def out(logits):
     return HeadOutput(np.asarray(logits, dtype=float))
+
+
+def mtlr_value(*args):
+    return mtlr_loss_and_grad(*args)[0]
+
+
+def deephit_value(*args, **kwargs):
+    return deephit_loss_and_grad(*args, **kwargs)[0]
 
 
 class TestPmfFromLogits:
@@ -70,16 +76,16 @@ def brute_force_censored_likelihood(pmf_row, time, grid):
 
 class TestMtlrLoss:
     def test_uniform_uncensored_first_bin(self):
-        value = mtlr_loss(out([[0.0, 0.0]]), [1], [5.0], GRID1)
+        value = mtlr_value(out([[0.0, 0.0]]), [1], [5.0], GRID1)
         assert value == pytest.approx(-math.log(0.5), abs=1e-12)
 
     def test_censored_beyond_last_cut(self):
-        value = mtlr_loss(out([[0.0, 0.0]]), [0], [11.0], GRID1)
+        value = mtlr_value(out([[0.0, 0.0]]), [0], [11.0], GRID1)
         assert value == pytest.approx(-math.log(0.5), abs=1e-12)
 
     def test_censored_inside_first_bin_costs_nothing(self):
         grid = TimeGrid(np.array([1.0, 2.0]))
-        value = mtlr_loss(out([[0.0, 0.0, 0.0]]), [0], [0.5], grid)
+        value = mtlr_value(out([[0.0, 0.0, 0.0]]), [0], [0.5], grid)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_censored_matches_brute_force_enumeration(self):
@@ -91,7 +97,7 @@ class TestMtlrLoss:
                 pmf = pmf_from_logits(out(logits))[0]
                 expected = -math.log(
                     brute_force_censored_likelihood(pmf, time, grid))
-                got = mtlr_loss(out(logits), [0], [time], grid)
+                got = mtlr_value(out(logits), [0], [time], grid)
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_censored_term_never_exceeds_uncensored(self):
@@ -99,39 +105,39 @@ class TestMtlrLoss:
         for _ in range(50):
             logits = rng.standard_normal((1, 4)) * 2
             time = float(rng.uniform(0, 4))
-            cens = mtlr_loss(out(logits), [0], [time], GRID3)
-            uncens = mtlr_loss(out(logits), [1], [time], GRID3)
+            cens = mtlr_value(out(logits), [0], [time], GRID3)
+            uncens = mtlr_value(out(logits), [1], [time], GRID3)
             assert cens <= uncens + 1e-12
 
     def test_batch_is_mean(self):
         logits = np.array([[0.5, -0.2, 0.1, 0.3], [1.0, 0.0, -1.0, 0.2]])
         single = [
-            mtlr_loss(out(logits[i:i + 1]), [1], [t], GRID3)
+            mtlr_value(out(logits[i:i + 1]), [1], [t], GRID3)
             for i, t in enumerate([0.5, 2.5])
         ]
-        both = mtlr_loss(out(logits), [1, 1], [0.5, 2.5], GRID3)
+        both = mtlr_value(out(logits), [1, 1], [0.5, 2.5], GRID3)
         assert both == pytest.approx(np.mean(single), abs=1e-12)
 
     def test_width_mismatch(self):
         with pytest.raises(BinWidthMismatchError):
-            mtlr_loss(out([[0.0, 0.0]]), [1], [1.0], GRID3)
+            mtlr_value(out([[0.0, 0.0]]), [1], [1.0], GRID3)
 
     def test_grad_matches_central_differences(self):
         rng = np.random.default_rng(4)
         logits = rng.standard_normal((5, 4))
         events = np.array([1, 0, 1, 0, 0])
         times = rng.uniform(0, 4, 5)
-        grad = mtlr_loss_grad(out(logits), events, times, GRID3)
-        fd = _fd_logits(lambda lg: mtlr_loss(out(lg), events, times, GRID3), logits)
+        grad = mtlr_loss_and_grad(out(logits), events, times, GRID3)[1]
+        fd = _fd_logits(lambda lg: mtlr_value(out(lg), events, times, GRID3), logits)
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-4
 
 
 class TestDeephitLoss:
     def test_batch_of_one_has_no_rank_term(self):
         logits = np.array([[0.3, -0.1, 0.2, 0.0]])
-        like = mtlr_loss(out(logits), [1], [1.5], GRID3)
-        full = deephit_loss(out(logits), [1], [1.5], GRID3, sigma=1.0,
-                            rank_weight=0.5)
+        like = mtlr_value(out(logits), [1], [1.5], GRID3)
+        full = deephit_value(out(logits), [1], [1.5], GRID3, sigma=1.0,
+                             rank_weight=0.5)
         assert full == pytest.approx(like, abs=1e-15)
 
     def test_correct_ordering_beats_exp_zero(self):
@@ -139,18 +145,18 @@ class TestDeephitLoss:
         logits = np.array([[3.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 3.0]])
         events = [1, 1]
         times = [0.5, 2.5]
-        like = mtlr_loss(out(logits), events, times, GRID3)
-        full = deephit_loss(out(logits), events, times, GRID3, sigma=1.0,
-                            rank_weight=1.0)
+        like = mtlr_value(out(logits), events, times, GRID3)
+        full = deephit_value(out(logits), events, times, GRID3, sigma=1.0,
+                             rank_weight=1.0)
         assert full - like < 1.0  # rank term below exp(0) per admissible pair
 
     def test_uniform_pmf_equal_incidence_gives_exactly_one(self):
         logits = np.zeros((2, 4))
         events = [1, 1]
         times = [0.5, 2.5]
-        like = mtlr_loss(out(logits), events, times, GRID3)
-        full = deephit_loss(out(logits), events, times, GRID3, sigma=1.0,
-                            rank_weight=1.0)
+        like = mtlr_value(out(logits), events, times, GRID3)
+        full = deephit_value(out(logits), events, times, GRID3, sigma=1.0,
+                             rank_weight=1.0)
         assert full - like == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_term_permutation_invariant(self):
@@ -158,9 +164,9 @@ class TestDeephitLoss:
         logits = rng.standard_normal((6, 4))
         events = np.array([1, 1, 0, 1, 0, 1])
         times = rng.uniform(0, 4, 6)
-        base = deephit_loss(out(logits), events, times, GRID3)
+        base = deephit_value(out(logits), events, times, GRID3)
         perm = rng.permutation(6)
-        shuffled = deephit_loss(out(logits[perm]), events[perm], times[perm], GRID3)
+        shuffled = deephit_value(out(logits[perm]), events[perm], times[perm], GRID3)
         assert shuffled == pytest.approx(base, rel=1e-12)
 
     def test_zero_rank_when_no_admissible_pair(self):
@@ -168,8 +174,8 @@ class TestDeephitLoss:
         logits = np.random.default_rng(6).standard_normal((3, 4))
         events = [0, 0, 1]
         times = [1.0, 2.0, 3.5]
-        like = mtlr_loss(out(logits), events, times, GRID3)
-        full = deephit_loss(out(logits), events, times, GRID3)
+        like = mtlr_value(out(logits), events, times, GRID3)
+        full = deephit_value(out(logits), events, times, GRID3)
         assert full == pytest.approx(like, abs=1e-15)
 
     def test_grad_matches_central_differences(self):
@@ -177,12 +183,51 @@ class TestDeephitLoss:
         logits = rng.standard_normal((5, 4))
         events = np.array([1, 0, 1, 1, 0])
         times = rng.uniform(0, 4, 5)
-        grad = deephit_loss_grad(out(logits), events, times, GRID3,
-                                 sigma=0.3, rank_weight=0.7)
+        grad = deephit_loss_and_grad(out(logits), events, times, GRID3,
+                                     sigma=0.3, rank_weight=0.7)[1]
         fd = _fd_logits(
-            lambda lg: deephit_loss(out(lg), events, times, GRID3,
-                                    sigma=0.3, rank_weight=0.7), logits)
+            lambda lg: deephit_value(out(lg), events, times, GRID3,
+                                     sigma=0.3, rank_weight=0.7), logits)
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-4
+
+
+class TestPinned:
+    """Both heads' value and gradient on one fixed batch, bit for bit:
+    fixed-seed histories and checkpoints depend on these exact numbers.
+    The batch has a tied time and admissible pairs for the ranking term."""
+
+    LOGITS = np.array([[0.5, -1.0, 0.25, 2.0], [-0.75, 1.5, 0.0, -0.5],
+                       [1.0, 1.0, -2.0, 0.5], [0.0, -0.25, 0.75, -1.5]])
+    EVENTS = np.array([1, 0, 1, 1])
+    TIMES = np.array([0.5, 1.5, 1.5, 3.5])
+
+    def test_mtlr(self):
+        value, grad = mtlr_loss_and_grad(out(self.LOGITS), self.EVENTS,
+                                         self.TIMES, GRID3)
+        assert value == 1.4591344406193043
+        assert grad.tolist() == [
+            [-0.21144129367895945, 0.008603610316530052, 0.03002955067704671,
+             0.17280813268538267],
+            [0.018000165396041767, -0.013250366789742335, -0.0029565564638206437,
+             -0.0017932421424787857],
+            [0.0941152473430407, -0.15588475265695928, 0.004685722253926394,
+             0.05708378305999215],
+            [0.06069536062584693, 0.047269594384210904, 0.12849207945323024,
+             -0.23645703446328808]]
+
+    def test_deephit(self):
+        value, grad = deephit_loss_and_grad(out(self.LOGITS), self.EVENTS,
+                                            self.TIMES, GRID3, 0.3, 0.7)
+        assert value == 2.2543404305618786
+        assert grad.tolist() == [
+            [-0.5311185389721904, 0.021611374304867967, 0.07543110810606769,
+             0.4340760565612547],
+            [0.04763174493090788, -0.03506290510579235, -0.007823591631524646,
+             -0.004745248193590882],
+            [0.3627219218171153, -0.34789734095153196, -0.0011245657240409003,
+             -0.013700015141542385],
+            [0.23234676923652378, 0.03278773519384105, -0.0136914375314163,
+             -0.2514430668989485]]
 
 
 def _fd_logits(fn, logits, h=1e-6):

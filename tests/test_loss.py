@@ -7,13 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import LengthMismatchError, dense_loss_and_grad, pair_likelihood, similarity
 from survrnc.core import LossConfig, Patient
-from survrnc.loss import (
-    EmbeddingBatch,
-    survrnc_loss,
-    survrnc_loss_and_grad,
-    survrnc_loss_grad,
-    total_loss,
-)
+from survrnc.loss import EmbeddingBatch, survrnc_loss, survrnc_loss_and_grad
 from survrnc.pairsets import build_pair_sets
 
 CFG = LossConfig(temperature=2.0, lam=0.5, beta=1.0)
@@ -199,12 +193,12 @@ def _crisp_variant_loss(batch, patients, tau, variant):
 class TestSurvrncLossGrad:
     def test_duplicated_pair_zero_gradient(self):
         b = batch_of([[1.0, 2.0], [1.0, 2.0]], [1, 1], [5.0, 5.0])
-        assert np.all(survrnc_loss_grad(b, CFG) == 0.0)
+        assert np.all(survrnc_loss_and_grad(b, CFG)[1] == 0.0)
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(7)
         b = random_batch(rng, n=6, d=4)
-        grad = survrnc_loss_grad(b, CFG)
+        grad = survrnc_loss_and_grad(b, CFG)[1]
         fd = _central_differences(b, CFG)
         err = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8)
         assert err < 1e-4
@@ -212,7 +206,7 @@ class TestSurvrncLossGrad:
     def test_gradient_rows_sum_to_zero(self):
         rng = np.random.default_rng(8)
         b = random_batch(rng, n=7, d=3)
-        grad = survrnc_loss_grad(b, CFG)
+        grad = survrnc_loss_and_grad(b, CFG)[1]
         scale = max(np.abs(grad).max(), 1e-12)
         assert np.abs(grad.sum(axis=0)).max() / scale < 1e-10
 
@@ -221,7 +215,7 @@ class TestSurvrncLossGrad:
         b = random_batch(rng)
         value, grad = survrnc_loss_and_grad(b, CFG)
         assert value == survrnc_loss(b, CFG)
-        assert np.array_equal(grad, survrnc_loss_grad(b, CFG))
+        assert np.array_equal(grad, survrnc_loss_and_grad(b, CFG)[1])
 
 
 def _central_differences(batch, cfg, h=1e-5):
@@ -345,18 +339,6 @@ class TestOracleAgreement:
         assert np.abs(grad - dense_grad).max() / np.abs(dense_grad).max() < 1e-8
         fd = _central_differences(b, CFG)
         assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-4
-
-
-class TestTotalLoss:
-    def test_beta_zero_disables_regularizer(self):
-        assert total_loss(1.0, 2.0, LossConfig(2.0, 0.5, 0.0)) == 1.0
-
-    def test_beta_one_adds(self):
-        assert total_loss(1.0, 2.0, LossConfig(2.0, 0.5, 1.0)) == 3.0
-
-    def test_fractional_beta(self):
-        got = total_loss(0.5, 0.4621, LossConfig(2.0, 0.5, 0.5))
-        assert got == pytest.approx(0.7311, abs=1e-4)
 
 
 class TestEmbeddingBatch:

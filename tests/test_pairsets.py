@@ -6,13 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from survrnc.core import Patient
 from survrnc.pairsets import (
-    DISREGARD_CODE,
-    NEGATIVE_CODE,
-    UNCERTAIN_CODE,
     PairClass,
     TimeInterval,
     build_pair_sets,
-    classification_tensor,
     classify,
     classify_interval,
     delta_bound_matrices,
@@ -20,6 +16,13 @@ from survrnc.pairsets import (
     pair_set_masks,
     pair_threshold,
     true_time_interval,
+)
+
+from oracles import (
+    DISREGARD_CODE,
+    NEGATIVE_CODE,
+    UNCERTAIN_CODE,
+    classification_tensor,
 )
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -52,10 +54,12 @@ class TestTrain:
         assert np.isfinite(record["loss_total"])
         assert np.isfinite(record["val_ci"])
 
-    def test_history_length_and_additivity(self, small_dataset):
-        _, history = train(small_dataset, TINY_CFG)
-        assert len(history.epochs) == TINY_CFG.epochs
-        beta = TINY_CFG.loss.beta
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_history_length_and_additivity(self, small_dataset, beta):
+        cfg = dataclasses.replace(
+            TINY_CFG, loss=dataclasses.replace(TINY_CFG.loss, beta=beta))
+        _, history = train(small_dataset, cfg)
+        assert len(history.epochs) == cfg.epochs
         for rec in history.steps:
             assert rec["loss_total"] == rec["loss_prognosis"] + beta * rec["loss_survrnc"]
             assert rec["loss_survrnc"] >= 0.0
@@ -78,9 +82,6 @@ class TestTrain:
 
         monkeypatch.setattr(loss_mod, "survrnc_loss", lambda *a, **k: 0.0)
         monkeypatch.setattr(loss_mod, "survrnc_loss_and_grad", boom)
-        monkeypatch.setattr(loss_mod, "survrnc_loss_grad", boom)
-        import survrnc.trainer as trainer_mod
-        monkeypatch.setattr(trainer_mod.loss_mod, "survrnc_loss", lambda *a, **k: 0.0)
         _, without_term = train(small_dataset, cfg)
         a = [r["loss_prognosis"] for r in with_value.steps]
         b = [r["loss_prognosis"] for r in without_term.steps]
@@ -127,6 +128,48 @@ class TestTrain:
         assert history.best_val_ci == max(cis)
         assert history.epochs[history.best_epoch - 1]["val_ci"] == history.best_val_ci
         assert history.final_val_ci == cis[-1]
+
+
+class TestBenchmarkNames:
+    """The benchmark times each public function a survrnc module defines,
+    as module.function, and reads per-layer metrics off some of those
+    names: the contrastive loss by the prefix loss.survrnc_loss, a heads.*
+    span as head-loss time only when its name holds "loss", the pair-set
+    mix from pair_set_masks. Renaming or hiding one of them would silently
+    zero its metric."""
+
+    @pytest.mark.parametrize("module, name", [
+        ("loss", "survrnc_loss"),
+        ("loss", "survrnc_loss_and_grad"),
+        ("pairsets", "pair_set_masks"),
+        ("pairsets", "delta_bound_matrices"),
+        ("heads", "mtlr_loss_and_grad"),
+        ("heads", "deephit_loss_and_grad"),
+    ])
+    def test_timed_functions_are_public(self, module, name):
+        mod = importlib.import_module(f"survrnc.{module}")
+        fn = getattr(mod, name)
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__
+
+    @pytest.mark.parametrize("head", ["mtlr", "deephit"])
+    def test_training_calls_them_by_name(self, small_dataset, monkeypatch, head):
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(heads, f"{head}_loss_and_grad")
+        counted(loss_mod, "survrnc_loss_and_grad")
+        steps = len(train(small_dataset, dataclasses.replace(
+            TINY_CFG, head=head, epochs=1))[1].steps)
+        assert sorted(calls) == sorted(
+            [f"{head}_loss_and_grad", "survrnc_loss_and_grad"] * steps)
 
 
 class TestStratifiedSplit:
