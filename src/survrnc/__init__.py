@@ -24,16 +24,6 @@ from .metrics import (
     embedding_ordinality,
     horizon_from_fraction,
 )
-from .pairsets import (
-    PairClass,
-    PairSets,
-    TimeInterval,
-    build_pair_sets,
-    classify,
-    delta_interval,
-    pair_threshold,
-    true_time_interval,
-)
 from .trainer import (
     TrainConfig,
     TrainHistory,
@@ -52,21 +42,15 @@ __all__ = [
     "EmbeddingBatch",
     "EvalReport",
     "LossConfig",
-    "PairClass",
-    "PairSets",
     "Patient",
     "SynthConfig",
     "TimeGrid",
-    "TimeInterval",
     "TrainConfig",
     "TrainHistory",
     "TrainedModel",
     "ValidationError",
-    "build_pair_sets",
-    "classify",
     "concordance_index",
     "cumulative_dynamic_auc",
-    "delta_interval",
     "discretize_time",
     "embedding_ordinality",
     "evaluate",
@@ -76,13 +60,11 @@ __all__ = [
     "lambda_sweep",
     "load_checkpoint",
     "load_csv",
-    "pair_threshold",
     "save_checkpoint",
     "save_csv",
     "survrnc_loss",
     "survrnc_loss_and_grad",
     "train",
-    "true_time_interval",
     "validate_dataset",
 ]
 

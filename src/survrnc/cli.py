@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import pairsets as ps
 from . import trainer
 from .data import _SAMPLER_MODES, SynthConfig, load_csv, save_csv, generate_synthetic
@@ -76,17 +78,14 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _cmd_generate(args) -> int:
-    cfg = SynthConfig(n=args.n, d_in=args.d_in, risk_model=args.risk_model,
-                      base_rate=args.base_rate,
-                      target_censoring=args.target_censoring, seed=args.seed)
+    cfg = SynthConfig(**{f.name: getattr(args, f.name)
+                         for f in dataclasses.fields(SynthConfig)})
     dataset, risks = generate_synthetic(cfg)
     out = Path(args.out)
     save_csv(dataset, out)
     sidecar = out.with_suffix(".meta.json")
     payload = {
-        "config": {"n": cfg.n, "d_in": cfg.d_in, "risk_model": cfg.risk_model,
-                   "base_rate": cfg.base_rate,
-                   "target_censoring": cfg.target_censoring, "seed": cfg.seed},
+        "config": dataclasses.asdict(cfg),
         "true_risks": {p.id: float(r) for p, r in zip(dataset.patients, risks)},
     }
     sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -133,25 +132,19 @@ def _cmd_export_embeddings(args) -> int:
 
 def _cmd_pairsets(args) -> int:
     dataset = load_csv(args.data)
-    batch = dataset.patients
-    n = len(batch)
-    print("a,p," + ",".join(p.id for p in batch))
+    ids = dataset.ids()
+    n = len(ids)
+    neg, unc = ps.pair_set_masks(dataset.events(), dataset.times())
+    letters = np.full((n, n, n), ord("D"), dtype=np.uint8)
+    letters[unc] = ord("U")
+    letters[neg] = ord("N")
+    letters[np.arange(n), :, np.arange(n)] = ord(".")  # k = a
+    print("a,p," + ",".join(ids))
     for a in range(n):
         for p in range(n):
-            if p == a:
-                continue
-            sets = ps.build_pair_sets(batch, a, p)
-            letters = []
-            for k in range(n):
-                if k == a:
-                    letters.append(".")
-                elif k in sets.negatives:
-                    letters.append("N")
-                elif k in sets.uncertains:
-                    letters.append("U")
-                else:
-                    letters.append("D")
-            print(f"{batch[a].id},{batch[p].id}," + ",".join(letters))
+            if p != a:
+                row = ",".join(letters[a, p].tobytes().decode())
+                print(f"{ids[a]},{ids[p]},{row}")
     return 0
 
 

@@ -86,6 +86,12 @@ def mtlr_loss_and_grad(output: HeadOutput, events: np.ndarray,
     Uncensored: -log pmf at the event bin. Censored: -log of the summed
     mass over all censoring-consistent bins.
     """
+    return _likelihood(output, events, times, grid)[:2]
+
+
+def _likelihood(output: HeadOutput, events: np.ndarray, times: np.ndarray,
+                grid: TimeGrid):
+    """(value, gradient, pmf, start bins) of `mtlr_loss_and_grad`."""
     _check_width(output, grid)
     events = np.asarray(events, dtype=int)
     z = output.logits - output.logits.max(axis=1, keepdims=True)
@@ -110,7 +116,7 @@ def mtlr_loss_and_grad(output: HeadOutput, events: np.ndarray,
     grad_uncens[rows, start] -= 1.0
     grad_cens = pmf * (1.0 - tail_mask / tail_mass[:, None])
     grad = np.where(uncensored[:, None], grad_uncens, grad_cens)
-    return float(-ll.mean()), grad / n
+    return float(-ll.mean()), grad / n, pmf, start
 
 
 def _rank_pairs(events: np.ndarray, times: np.ndarray):
@@ -130,13 +136,11 @@ def deephit_loss_and_grad(output: HeadOutput, events: np.ndarray,
     admissible pairs, F being the cumulative incidence up to and
     including a time's bin; it is zero when no admissible pair exists.
     """
-    likelihood, grad = mtlr_loss_and_grad(output, events, times, grid)
+    likelihood, grad, pmf, bins = _likelihood(output, events, times, grid)
     adm = _rank_pairs(events, times)
     if not adm.any():
         return likelihood, grad
-    pmf = pmf_from_logits(output)
     cif = np.cumsum(pmf, axis=1)
-    bins = _start_bins(times, grid)
     f_at = cif[:, bins]            # f_at[j, i] = F_j(T_i)
     own = np.diag(f_at)            # F_i(T_i)
     margins = own[:, None] - f_at.T

@@ -10,120 +10,15 @@ interval arithmetic over absolute time differences.
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
-
-from .core import Patient
-
-
-class PairClass(enum.Enum):
-    NEGATIVE = "negative"
-    UNCERTAIN = "uncertain"
-    DISREGARD = "disregard"
-
-
-@dataclass(frozen=True)
-class TimeInterval:
-    """Closed-below range [lo, hi] for an unobservable non-negative quantity."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.lo < 0:
-            raise ValueError(f"lo must be >= 0, got {self.lo}")
-        if self.lo > self.hi:
-            raise ValueError(f"need lo <= hi, got [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
-class PairSets:
-    """Index sets for one (anchor, positive) pair; disjoint, anchor excluded."""
-
-    negatives: frozenset[int]
-    uncertains: frozenset[int]
-
-
-def true_time_interval(p: Patient) -> TimeInterval:
-    """Range of the true event time: exact if uncensored, [T, inf) if censored."""
-    if p.event == 1:
-        return TimeInterval(p.time, p.time)
-    return TimeInterval(p.time, math.inf)
-
-
-def delta_interval(a: Patient, k: Patient) -> TimeInterval:
-    """Exact range of |T*_a - T*_k| as both true times range over their intervals.
-
-    This is the interval distance / maximal separation of the two boxes:
-    lo = max(0, lo_a - hi_k, lo_k - hi_a), hi = max(hi_a - lo_k, hi_k - lo_a).
-    """
-    ia, ik = true_time_interval(a), true_time_interval(k)
-    lo = max(0.0, ia.lo - ik.hi, ik.lo - ia.hi)
-    hi = max(ia.hi - ik.lo, ik.hi - ia.lo)
-    return TimeInterval(lo, hi)
-
-
-def pair_threshold(a: Patient, p: Patient) -> float:
-    """Threshold for the (a, p) pair: |T_a - T_p| on observed times.
-
-    Observed times are used even when a or p is censored; a censored
-    anchor still yields a finite threshold.
-    """
-    return abs(a.time - p.time)
-
-
-def classify_interval(interval: TimeInterval, threshold: float) -> PairClass:
-    """Compare an interval of possible |delta T| values against a threshold.
-
-    Whole interval >= threshold: NEGATIVE. Whole interval < threshold:
-    DISREGARD. Straddles it: UNCERTAIN. A lower bound exactly equal to the
-    threshold counts as NEGATIVE (ties meet the >= rank rule).
-    """
-    if interval.lo >= threshold:
-        return PairClass.NEGATIVE
-    if interval.hi < threshold:
-        return PairClass.DISREGARD
-    return PairClass.UNCERTAIN
-
-
-def classify(a: Patient, p: Patient, k: Patient) -> PairClass:
-    """Class of batch member k relative to the (a, p) pair."""
-    return classify_interval(delta_interval(a, k), pair_threshold(a, p))
-
-
-def build_pair_sets(batch: Sequence[Patient], a: int, p: int) -> PairSets:
-    """Classify every k != a (including k = p) for the (a, p) pair.
-
-    If censoring makes p's own class uncertain, p is promoted into the
-    negatives so the likelihood denominator always dominates the numerator
-    and every loss term stays non-negative.
-    """
-    if a == p:
-        raise ValueError("anchor and positive must differ")
-    negatives: set[int] = set()
-    uncertains: set[int] = set()
-    for k in range(len(batch)):
-        if k == a:
-            continue
-        cls = classify(batch[a], batch[p], batch[k])
-        if k == p and cls is PairClass.UNCERTAIN:
-            cls = PairClass.NEGATIVE
-        if cls is PairClass.NEGATIVE:
-            negatives.add(k)
-        elif cls is PairClass.UNCERTAIN:
-            uncertains.add(k)
-    return PairSets(frozenset(negatives), frozenset(uncertains))
 
 
 def delta_bound_matrices(events: np.ndarray, times: np.ndarray):
     """(lo, hi, theta) matrices for a whole batch.
 
-    lo/hi[i, j] bound |true time i - true time j| (the delta_interval of
-    every patient pair); theta[i, j] is the observed-time threshold.
+    lo/hi[i, j] bound |true time i - true time j| while each true time
+    ranges over [T, T] if uncensored and [T, inf) if censored; theta[i, j]
+    is the observed-time threshold |T_i - T_j|, finite even if censored.
     """
     events = np.asarray(events)
     times = np.asarray(times, dtype=float)
@@ -141,9 +36,10 @@ def pair_set_masks(events: np.ndarray, times: np.ndarray):
 
     Returns boolean tensors (negative, uncertain) of shape (B, B, B) with
     the k = p self-promotion already applied, k = a slots and the
-    meaningless p = a rows cleared. Must agree with `classify` /
-    `build_pair_sets` everywhere. O(B^3) memory: for inspection and for
-    checking the loss kernel, which works from `delta_bound_matrices`.
+    meaningless p = a rows cleared. Must agree everywhere with the oracle,
+    the scalar interval classifier of pair sets in `tests/oracles.py`.
+    O(B^3) memory: for inspection (`survrnc pairsets`) and for checking the
+    loss kernel, which works from `delta_bound_matrices`.
     """
     times = np.asarray(times, dtype=float)
     n = times.shape[0]

@@ -286,8 +286,6 @@ def train(dataset: Dataset, cfg: TrainConfig):
     history.best_epoch = 1 + int(np.argmax([e["val_ci"] for e in history.epochs]))
     history.best_val_ci = max(e["val_ci"] for e in history.epochs)
     history.final_val_ci = history.epochs[-1]["val_ci"]
-    model = TrainedModel(encoder, head, cfg.head, grid, dataset.feature_names,
-                         cfg.deephit_sigma, cfg.deephit_rank_weight)
     return model, history
 
 

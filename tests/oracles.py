@@ -4,13 +4,16 @@
 difference, the definition the pair oracles use; `direct_sq_distances`
 and `time_differences` are scipy's direct-difference pair statistics,
 the references for the GEMM distances and the blocked time differences
-of the production code. `dense_loss_and_grad` evaluates the contrastive
-loss over explicit (B, B, B) membership tensors in O(B^3) time and
-memory, and `pair_likelihood` evaluates one (anchor, positive) pair from
-its index sets; `classification_tensor` codes every (anchor, positive,
-member) triple of a batch from `pair_set_masks`. `loop_concordance_index` (one pass per event),
-`matrix_auc` (the cases x controls comparison matrices) and
-`spearman_ordinality` (`scipy.stats.spearmanr` over all uncensored
+of the production code. `build_pair_sets` is the scalar interval
+classifier: one `classify` call per batch member, by interval arithmetic
+on `TimeInterval`s; `pair_set_masks` must agree with it everywhere.
+`dense_loss_and_grad` evaluates the contrastive loss over explicit
+(B, B, B) membership tensors in O(B^3) time and memory, and
+`pair_likelihood` evaluates one (anchor, positive) pair from its index
+sets; `classification_tensor` codes every (anchor, positive, member)
+triple of a batch from `pair_set_masks`. `loop_concordance_index` (one
+pass per event), `matrix_auc` (the cases x controls comparison matrices)
+and `spearman_ordinality` (`scipy.stats.spearmanr` over all uncensored
 pairs) are the O(n^2) metrics; `centred_ranks` ranks one pair statistic
 with an `argsort`, the reference for the packed-key ranks inside
 `embedding_ordinality`. None is fast; each is a direct transcription of
@@ -19,20 +22,24 @@ the definition.
 
 from __future__ import annotations
 
+import enum
+import math
 import warnings
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 from scipy.stats import ConstantInputWarning, spearmanr
 
-from survrnc.core import LossConfig
+from survrnc.core import LossConfig, Patient
 from survrnc.loss import EmbeddingBatch
 from survrnc.metrics import (
     NoComparablePairsError,
     TooFewUncensoredError,
     UndefinedAtHorizonError,
 )
-from survrnc.pairsets import PairSets, pair_set_masks
+from survrnc.pairsets import pair_set_masks
 
 
 class LengthMismatchError(ValueError):
@@ -58,6 +65,105 @@ def direct_sq_distances(v) -> np.ndarray:
 def time_differences(t) -> np.ndarray:
     """|t_i - t_j| over the pairs i < j, in condensed (row-major) order."""
     return pdist(np.asarray(t, dtype=float)[:, None], "cityblock")
+
+
+class PairClass(enum.Enum):
+    NEGATIVE = "negative"
+    UNCERTAIN = "uncertain"
+    DISREGARD = "disregard"
+
+
+@dataclass(frozen=True)
+class TimeInterval:
+    """Closed-below range [lo, hi] for an unobservable non-negative quantity."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if self.lo < 0:
+            raise ValueError(f"lo must be >= 0, got {self.lo}")
+        if self.lo > self.hi:
+            raise ValueError(f"need lo <= hi, got [{self.lo}, {self.hi}]")
+
+
+@dataclass(frozen=True)
+class PairSets:
+    """Index sets for one (anchor, positive) pair; disjoint, anchor excluded."""
+
+    negatives: frozenset[int]
+    uncertains: frozenset[int]
+
+
+def true_time_interval(p: Patient) -> TimeInterval:
+    """Range of the true event time: exact if uncensored, [T, inf) if censored."""
+    if p.event == 1:
+        return TimeInterval(p.time, p.time)
+    return TimeInterval(p.time, math.inf)
+
+
+def delta_interval(a: Patient, k: Patient) -> TimeInterval:
+    """Exact range of |T*_a - T*_k| as both true times range over their intervals.
+
+    This is the interval distance / maximal separation of the two boxes:
+    lo = max(0, lo_a - hi_k, lo_k - hi_a), hi = max(hi_a - lo_k, hi_k - lo_a).
+    """
+    ia, ik = true_time_interval(a), true_time_interval(k)
+    lo = max(0.0, ia.lo - ik.hi, ik.lo - ia.hi)
+    hi = max(ia.hi - ik.lo, ik.hi - ia.lo)
+    return TimeInterval(lo, hi)
+
+
+def pair_threshold(a: Patient, p: Patient) -> float:
+    """Threshold for the (a, p) pair: |T_a - T_p| on observed times.
+
+    Observed times are used even when a or p is censored; a censored
+    anchor still yields a finite threshold.
+    """
+    return abs(a.time - p.time)
+
+
+def classify_interval(interval: TimeInterval, threshold: float) -> PairClass:
+    """Compare an interval of possible |delta T| values against a threshold.
+
+    Whole interval >= threshold: NEGATIVE. Whole interval < threshold:
+    DISREGARD. Straddles it: UNCERTAIN. A lower bound exactly equal to the
+    threshold counts as NEGATIVE (ties meet the >= rank rule).
+    """
+    if interval.lo >= threshold:
+        return PairClass.NEGATIVE
+    if interval.hi < threshold:
+        return PairClass.DISREGARD
+    return PairClass.UNCERTAIN
+
+
+def classify(a: Patient, p: Patient, k: Patient) -> PairClass:
+    """Class of batch member k relative to the (a, p) pair."""
+    return classify_interval(delta_interval(a, k), pair_threshold(a, p))
+
+
+def build_pair_sets(batch: Sequence[Patient], a: int, p: int) -> PairSets:
+    """Classify every k != a (including k = p) for the (a, p) pair.
+
+    If censoring makes p's own class uncertain, p is promoted into the
+    negatives so the likelihood denominator always dominates the numerator
+    and every loss term stays non-negative.
+    """
+    if a == p:
+        raise ValueError("anchor and positive must differ")
+    negatives: set[int] = set()
+    uncertains: set[int] = set()
+    for k in range(len(batch)):
+        if k == a:
+            continue
+        cls = classify(batch[a], batch[p], batch[k])
+        if k == p and cls is PairClass.UNCERTAIN:
+            cls = PairClass.NEGATIVE
+        if cls is PairClass.NEGATIVE:
+            negatives.add(k)
+        elif cls is PairClass.UNCERTAIN:
+            uncertains.add(k)
+    return PairSets(frozenset(negatives), frozenset(uncertains))
 
 
 # integer codes of `classification_tensor`

@@ -1,4 +1,6 @@
 import argparse
+import inspect
+import itertools
 import json
 import os
 import platform
@@ -10,11 +12,13 @@ import numpy as np
 import pytest
 
 import survrnc
-from survrnc import trainer
+from survrnc import pairsets, trainer
 from survrnc.cli import build_parser, main
 from survrnc.data import load_csv, save_csv, SynthConfig, generate_synthetic
 from survrnc.core import Dataset, Patient
 from survrnc.trainer import FeatureMismatchError, TrainConfig
+
+from oracles import build_pair_sets
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +55,30 @@ class TestGenerate:
         assert sidecar["config"]["seed"] == 5
         assert len(sidecar["true_risks"]) == 40
         assert set(sidecar["true_risks"]) == set(ds.ids())
+
+    def test_sidecar_is_pinned(self, tmp_path):
+        out = tmp_path / "g.csv"
+        main(["generate", "--n", "4", "--d-in", "2", "--risk-model", "quadratic",
+              "--base-rate", "0.2", "--target-censoring", "0.25", "--seed", "5",
+              "--out", str(out)])
+        assert (tmp_path / "g.meta.json").read_text() == """\
+{
+  "config": {
+    "base_rate": 0.2,
+    "d_in": 2,
+    "n": 4,
+    "risk_model": "quadratic",
+    "seed": 5,
+    "target_censoring": 0.25
+  },
+  "true_risks": {
+    "p0": -0.2832176692491494,
+    "p1": -0.6199607815921728,
+    "p2": 1.1744079721109617,
+    "p3": -1.1742017697446516
+  }
+}
+"""
 
 
 class TestTrain:
@@ -260,6 +288,67 @@ class TestFeatureNames:
         assert not out.exists()
 
 
+PINNED_PAIRSETS = """\
+a,p,a,b,c,d,e,f,g,h
+a,b,.,N,N,D,U,D,U,D
+a,c,.,U,N,D,U,D,U,D
+a,d,.,U,N,N,U,N,U,D
+a,e,.,U,N,N,N,N,U,D
+a,f,.,U,N,D,U,N,U,D
+a,g,.,N,N,N,N,N,N,N
+a,h,.,U,N,N,U,N,U,N
+b,a,N,.,U,U,U,U,U,U
+b,c,N,.,N,N,N,N,N,N
+b,d,U,.,U,N,U,U,U,U
+b,e,U,.,U,U,N,U,U,U
+b,f,U,.,U,U,U,N,U,U
+b,g,U,.,U,U,U,U,N,U
+b,h,U,.,U,U,U,U,U,N
+c,a,N,U,.,D,U,N,N,D
+c,b,N,N,.,N,N,N,N,N
+c,d,N,U,.,N,N,N,N,N
+c,e,N,U,.,N,N,N,N,N
+c,f,D,U,.,D,U,N,U,D
+c,g,N,U,.,D,U,N,N,D
+c,h,N,U,.,D,U,N,N,N
+d,a,N,U,N,.,U,N,N,D
+d,b,D,N,N,.,U,N,U,D
+d,c,D,U,N,.,U,N,U,D
+d,e,N,N,N,.,N,N,N,N
+d,f,D,U,D,.,U,N,U,D
+d,g,N,U,N,.,U,N,N,D
+d,h,N,U,N,.,U,N,N,N
+e,a,N,U,N,U,.,U,U,U
+e,b,U,N,N,U,.,U,U,U
+e,c,U,U,N,U,.,U,U,U
+e,d,N,N,N,N,.,N,N,N
+e,f,U,U,U,U,.,N,U,U
+e,g,U,U,N,U,.,U,N,U
+e,h,U,U,N,U,.,U,U,N
+f,a,N,U,N,N,U,.,U,N
+f,b,D,N,N,D,U,.,U,D
+f,c,D,U,N,D,U,.,U,D
+f,d,D,U,N,N,U,.,U,D
+f,e,D,U,N,N,N,.,U,D
+f,g,N,U,N,N,U,.,N,N
+f,h,D,U,N,N,U,.,U,N
+g,a,N,N,N,N,N,N,.,N
+g,b,U,N,N,U,U,U,.,U
+g,c,U,U,N,U,U,U,.,U
+g,d,U,U,N,N,U,U,.,U
+g,e,U,U,N,N,N,U,.,U
+g,f,U,U,N,U,U,N,.,U
+g,h,U,U,N,N,U,U,.,N
+h,a,N,U,N,N,U,N,N,.
+h,b,D,N,N,D,U,D,U,.
+h,c,D,U,N,D,U,D,U,.
+h,d,N,U,N,N,U,N,N,.
+h,e,N,U,N,N,N,N,N,.
+h,f,D,U,N,D,U,N,U,.
+h,g,N,U,N,N,U,N,N,.
+"""
+
+
 class TestPairsetsCommand:
     def test_golden_output(self, tmp_path, capsys):
         path = tmp_path / "batch.csv"
@@ -278,6 +367,31 @@ class TestPairsetsCommand:
         assert len(lines) == 1 + 5 * 4
         # the documented window example: anchor a, positive p
         assert lines[1] == "a,p,.,N,N,U,D"
+
+    def test_pinned_output(self, tmp_path, capsys):
+        # tied times (d/e, a/g), zero times (b, c), censored anchors and
+        # positives (b, e, g)
+        path = tmp_path / "batch.csv"
+        rows = [("a", 1, 300.0), ("b", 0, 0.0), ("c", 1, 0.0), ("d", 1, 200.0),
+                ("e", 0, 200.0), ("f", 1, 450.0), ("g", 0, 300.0), ("h", 1, 250.0)]
+        save_csv(Dataset(tuple(Patient(i, np.zeros(1), e, t) for i, e, t in rows),
+                         ("x1",)), path)
+        assert main(["pairsets", "--data", str(path)]) == 0
+        assert capsys.readouterr().out == PINNED_PAIRSETS
+
+    def test_matches_scalar_oracle(self, data_csv, capsys):
+        batch = load_csv(data_csv).patients
+        lines = ["a,p," + ",".join(p.id for p in batch)]
+        for a, p in itertools.permutations(range(len(batch)), 2):
+            sets = build_pair_sets(batch, a, p)
+            letters = ["." if k == a else "N" if k in sets.negatives
+                       else "U" if k in sets.uncertains else "D"
+                       for k in range(len(batch))]
+            lines.append(f"{batch[a].id},{batch[p].id}," + ",".join(letters))
+        assert main(["pairsets", "--data", str(data_csv)]) == 0
+        # lists, not one string: a failure then reports the first wrong row
+        # instead of diffing 450 kB of text
+        assert capsys.readouterr().out.split("\n") == lines + [""]
 
     def test_row_count_and_classes(self, data_csv, capsys):
         rc = main(["pairsets", "--data", str(data_csv)])
@@ -321,6 +435,30 @@ class TestImportCost:
         assert run_python(code).strip() == "[]"
 
 
+class TestPublicSurface:
+    def test_package_exports(self):
+        assert survrnc.__all__ == [
+            "AugmentConfig", "Dataset", "EmbeddingBatch", "EvalReport",
+            "LossConfig", "Patient", "SynthConfig", "TimeGrid", "TrainConfig",
+            "TrainHistory", "TrainedModel", "ValidationError",
+            "concordance_index", "cumulative_dynamic_auc", "discretize_time",
+            "embedding_ordinality", "evaluate", "export_embeddings",
+            "generate_synthetic", "horizon_from_fraction", "lambda_sweep",
+            "load_checkpoint", "load_csv", "save_checkpoint", "save_csv",
+            "survrnc_loss", "survrnc_loss_and_grad", "train", "validate_dataset",
+        ]
+        for name in survrnc.__all__:
+            assert getattr(survrnc, name) is not None
+
+    def test_pairsets_is_the_vectorized_path(self):
+        # the scalar interval classifier is an oracle in tests/oracles.py
+        members = vars(pairsets).items()
+        assert {name for name, v in members if not name.startswith("_")
+                and getattr(v, "__module__", None) == "survrnc.pairsets"} == {
+            "delta_bound_matrices", "pair_set_masks"}
+        assert [v.__name__ for _, v in members if inspect.ismodule(v)] == ["numpy"]
+
+
 class TestBlasThreads:
     def test_training_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # GEMM makes the loss distances and the layers; 256 views per step
@@ -341,7 +479,7 @@ class TestBlasThreads:
 
 FAULTS_DURING_TRAINING = """
 import resource, sys
-from survrnc import trainer
+from survrnc import pairsets, trainer
 from survrnc.data import SynthConfig, generate_synthetic
 if sys.argv[1] == "default":
     trainer._settle_allocator = lambda: None

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import LengthMismatchError, dense_loss_and_grad, pair_likelihood, similarity
+from oracles import (LengthMismatchError, build_pair_sets, dense_loss_and_grad,
+                     pair_likelihood, similarity)
 from survrnc.core import LossConfig, Patient
 from survrnc.loss import EmbeddingBatch, survrnc_loss, survrnc_loss_and_grad
-from survrnc.pairsets import build_pair_sets
 
 CFG = LossConfig(temperature=2.0, lam=0.5, beta=1.0)
 

@@ -5,24 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from survrnc.core import Patient
-from survrnc.pairsets import (
-    PairClass,
-    TimeInterval,
-    build_pair_sets,
-    classify,
-    classify_interval,
-    delta_bound_matrices,
-    delta_interval,
-    pair_set_masks,
-    pair_threshold,
-    true_time_interval,
-)
+from survrnc.pairsets import delta_bound_matrices, pair_set_masks
 
 from oracles import (
     DISREGARD_CODE,
     NEGATIVE_CODE,
     UNCERTAIN_CODE,
+    PairClass,
+    TimeInterval,
+    build_pair_sets,
     classification_tensor,
+    classify,
+    classify_interval,
+    delta_interval,
+    pair_threshold,
+    true_time_interval,
 )
 
 
