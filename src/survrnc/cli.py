@@ -12,13 +12,15 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import pairsets as ps
 from . import trainer
-from .data import _SAMPLER_MODES, SynthConfig, load_csv, save_csv, generate_synthetic
+from .data import (_RISK_MODELS, _SAMPLER_MODES, SynthConfig, generate_synthetic,
+                   load_csv, save_csv)
 from .trainer import TrainConfig
 
 # The train and lambda-sweep flags come from the TrainConfig fields, with
@@ -26,10 +28,13 @@ from .trainer import TrainConfig
 # spelled as the field with dashes and routed to the same place in the
 # config. The exceptions:
 _FLAG_NAMES = {"lam": "lambda"}  # also the field's key in a config file
-_FLAG_CHOICES = {"head": trainer._HEADS, "sampler": _SAMPLER_MODES}
+_FLAG_CHOICES = {"head": trainer._HEADS, "sampler": _SAMPLER_MODES,
+                 "risk_model": _RISK_MODELS}
 _NO_FLAG = {("activation",), ("augment", "seed")}
 # --hidden-widths takes a comma-separated list, and each subcommand
-# declares --seed itself.
+# declares --seed itself. generate's flags come from the SynthConfig
+# fields the same way, but with these defaults (MISSING: required):
+_GENERATE_DEFAULTS = {"d_in": 10, "seed": dataclasses.MISSING}
 
 
 def _config_fields(cls=TrainConfig, path=()):
@@ -61,6 +66,17 @@ def _add_train_overrides(parser: argparse.ArgumentParser):
             parser.add_argument(flag, dest=name, type=type(default))
 
 
+def _add_generate_flags(parser: argparse.ArgumentParser):
+    types = typing.get_type_hints(SynthConfig)
+    for f in dataclasses.fields(SynthConfig):
+        default = _GENERATE_DEFAULTS.get(f.name, f.default)
+        required = default is dataclasses.MISSING
+        kind = ({"choices": _FLAG_CHOICES[f.name]} if f.name in _FLAG_CHOICES
+                else {"type": types[f.name]})
+        parser.add_argument("--" + f.name.replace("_", "-"), required=required,
+                            default=None if required else default, **kind)
+
+
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
     raw: dict = {}
     if args.config is not None:
@@ -88,8 +104,7 @@ def _cmd_generate(args) -> int:
         "config": dataclasses.asdict(cfg),
         "true_risks": {p.id: float(r) for p, r in zip(dataset.patients, risks)},
     }
-    sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
+    trainer._write_json(payload, sidecar)
     censored = 1.0 - dataset.events().mean()
     print(f"wrote {len(dataset)} patients to {out} "
           f"(censored fraction {censored:.3f}); ground truth in {sidecar}")
@@ -116,8 +131,7 @@ def _cmd_evaluate(args) -> int:
     dataset = load_csv(args.data)
     report = trainer.evaluate(model, dataset)
     payload = report.to_dict()
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+    trainer._write_json(payload, args.out)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -153,9 +167,7 @@ def _cmd_lambda_sweep(args) -> int:
     dataset = load_csv(args.data)
     lambdas = [float(x) for x in args.lambdas.split(",")]
     table = trainer.lambda_sweep(dataset, cfg, lambdas)
-    payload = {"table": table}
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+    trainer._write_json({"table": table}, args.out)
     for row in table:
         print(f"lambda={row['lambda']:g} val_ci={row['val_ci']:.4f}")
     return 0
@@ -168,14 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset CSV")
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--d-in", type=int, dest="d_in", default=10)
-    gen.add_argument("--risk-model", choices=("linear", "quadratic"),
-                     default="linear", dest="risk_model")
-    gen.add_argument("--base-rate", type=float, default=0.1, dest="base_rate")
-    gen.add_argument("--target-censoring", type=float, default=0.3,
-                     dest="target_censoring")
-    gen.add_argument("--seed", type=int, required=True)
+    _add_generate_flags(gen)
     gen.add_argument("--out", type=Path, required=True)
     gen.set_defaults(func=_cmd_generate)
 

@@ -1,5 +1,5 @@
-"""Synthetic censored-survival data, CSV ingestion, two-view augmentation,
-and weighted batch sampling.
+"""Synthetic censored-survival data and CSV ingestion; two-view
+augmentation and weighted batch sampling on plain arrays.
 
 The generator uses exponential event and censoring times because the
 expected censoring fraction then has a closed form, P(C < E | x) =
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -175,26 +174,24 @@ def save_csv(dataset: Dataset, path) -> None:
                              *(repr(float(v)) for v in p.features)])
 
 
-def two_view_augment(batch: Sequence[Patient], cfg: AugmentConfig):
-    """Two noisy views per patient, labels copied unchanged.
+def two_view_augment(features: np.ndarray, events: np.ndarray,
+                     times: np.ndarray, cfg: AugmentConfig):
+    """Two noisy views of each feature row, labels copied unchanged.
 
     Rows are interleaved (both views of patient 0, then patient 1, ...).
     Each view adds gaussian noise and then zero-masks features
     independently. Deterministic given cfg.seed.
     """
-    if len(batch) < 1:
+    if len(features) < 1:
         raise ValueError("need at least one patient")
     rng = np.random.default_rng(cfg.seed)
-    base = np.stack([p.features for p in batch])
-    doubled = np.repeat(base, 2, axis=0)
+    doubled = np.repeat(features, 2, axis=0)
     views = doubled + rng.normal(0.0, cfg.noise_std, size=doubled.shape) \
         if cfg.noise_std > 0 else doubled.copy()
     if cfg.feature_dropout_prob > 0:
         keep = rng.random(doubled.shape) >= cfg.feature_dropout_prob
         views = views * keep
-    events = np.repeat([p.event for p in batch], 2)
-    times = np.repeat([p.time for p in batch], 2).astype(float)
-    return views, events, times
+    return views, np.repeat(events, 2), np.repeat(times, 2).astype(float)
 
 
 def sampling_weights(dataset: Dataset, weights_mode: str) -> np.ndarray | None:

@@ -1,9 +1,11 @@
 """Discrete-time survival heads: shared PMF parameterization, two losses.
 
-Both heads map logits over K+1 time bins (K grid cuts plus a terminal
-open bin) to a probability mass function by row-wise softmax. They differ
-in the training loss: a censoring-marginalized negative log-likelihood,
-and the same likelihood plus an exponential pairwise ranking penalty.
+Both heads take a (B, K+1) logits array over K+1 time bins (K grid cuts
+plus a terminal open bin) and map it to a probability mass function by
+row-wise softmax. They differ in the training loss: a censoring-
+marginalized negative log-likelihood, and the same likelihood plus an
+exponential pairwise ranking penalty. Every function here takes and
+returns plain arrays.
 
 Censoring consistency rule: a bin is consistent with censoring time T iff
 its interval upper edge is > T (the subject could still be event-free
@@ -14,8 +16,6 @@ grid subjects always keep positive likelihood mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import TimeGrid
@@ -25,60 +25,34 @@ class BinWidthMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class HeadOutput:
-    """Raw per-bin scores, shape (B, K+1)."""
-
-    logits: np.ndarray
-
-    def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=float)
-        if logits.ndim != 2:
-            raise ValueError(f"logits must be (B, K+1), got {logits.shape}")
-        object.__setattr__(self, "logits", logits)
-
-
-@dataclass(frozen=True, eq=False)
-class SurvivalCurve:
-    """P(T > cut_k) per patient at each grid cut; rows non-increasing."""
-
-    probabilities: np.ndarray  # (B, K)
-    cut_points: np.ndarray     # (K,)
-
-
-def _check_width(output: HeadOutput, grid: TimeGrid):
-    if output.logits.shape[1] != grid.num_bins + 1:
-        raise BinWidthMismatchError(
-            f"logits width {output.logits.shape[1]} != K+1 = {grid.num_bins + 1}")
-
-
-def pmf_from_logits(output: HeadOutput) -> np.ndarray:
-    """Row-wise softmax with max-subtraction; rows sum to 1."""
-    z = output.logits - output.logits.max(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray):
+    """(log pmf, pmf): row-wise softmax with max-subtraction."""
+    z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=1, keepdims=True)
+    return z - np.log(total), e / total
 
 
-def survival_curve(pmf: np.ndarray, grid: TimeGrid) -> SurvivalCurve:
-    """Tail-mass transform: S(cut_k) = mass strictly beyond bin k."""
+def pmf_from_logits(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of (B, K+1) logits; rows sum to 1."""
+    return _softmax(np.asarray(logits, dtype=float))[1]
+
+
+def survival_curve(pmf: np.ndarray) -> np.ndarray:
+    """P(T > cut_k) per patient at each grid cut, shape (B, K): the mass
+    strictly beyond bin k. Rows are non-increasing."""
     pmf = np.asarray(pmf, dtype=float)
     # S at cut k (1-based) = sum of bins k..K; drop the all-mass column
-    tail = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
-    return SurvivalCurve(tail[:, 1:], grid.cut_points)
+    return np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1][:, 1:]
 
 
-def risk_score(curve: SurvivalCurve) -> np.ndarray:
+def risk_score(curve: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Negative restricted expected survival time; higher = higher risk."""
-    widths = np.diff(curve.cut_points, prepend=0.0)
-    return -(curve.probabilities * widths).sum(axis=1)
+    widths = np.diff(grid.cut_points, prepend=0.0)
+    return -(curve * widths).sum(axis=1)
 
 
-def _start_bins(times: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Event bin if uncensored; first censoring-consistent bin if censored."""
-    return np.asarray(grid.bin_index(np.asarray(times, dtype=float)))
-
-
-def mtlr_loss_and_grad(output: HeadOutput, events: np.ndarray,
+def mtlr_loss_and_grad(logits: np.ndarray, events: np.ndarray,
                        times: np.ndarray, grid: TimeGrid):
     """Censoring-marginalized NLL over the bin PMF, mean over the batch,
     and its gradient d loss / d logits, shape (B, K+1).
@@ -86,21 +60,21 @@ def mtlr_loss_and_grad(output: HeadOutput, events: np.ndarray,
     Uncensored: -log pmf at the event bin. Censored: -log of the summed
     mass over all censoring-consistent bins.
     """
-    return _likelihood(output, events, times, grid)[:2]
+    return _likelihood(logits, events, times, grid)[:2]
 
 
-def _likelihood(output: HeadOutput, events: np.ndarray, times: np.ndarray,
+def _likelihood(logits: np.ndarray, events: np.ndarray, times: np.ndarray,
                 grid: TimeGrid):
-    """(value, gradient, pmf, start bins) of `mtlr_loss_and_grad`."""
-    _check_width(output, grid)
+    """(value, gradient, pmf, start bins) of `mtlr_loss_and_grad`; a start
+    bin is the event bin, or the first censoring-consistent bin if censored."""
+    logits = np.asarray(logits, dtype=float)
+    if logits.ndim != 2 or logits.shape[1] != grid.num_bins + 1:
+        raise BinWidthMismatchError(
+            f"logits shape {logits.shape} is not (B, K+1 = {grid.num_bins + 1})")
     events = np.asarray(events, dtype=int)
-    z = output.logits - output.logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    total = e.sum(axis=1, keepdims=True)
-    logp = z - np.log(total)
-    pmf = e / total
+    logp, pmf = _softmax(logits)
     n, width = pmf.shape
-    start = _start_bins(times, grid)
+    start = np.asarray(grid.bin_index(np.asarray(times, dtype=float)))
     rows = np.arange(n)
     tail_mask = np.arange(width)[None, :] >= start[:, None]
     uncensored = events == 1
@@ -119,14 +93,7 @@ def _likelihood(output: HeadOutput, events: np.ndarray, times: np.ndarray,
     return float(-ll.mean()), grad / n, pmf, start
 
 
-def _rank_pairs(events: np.ndarray, times: np.ndarray):
-    """Admissible (i, j) mask: i had the event strictly before j's time."""
-    events = np.asarray(events, dtype=int)
-    times = np.asarray(times, dtype=float)
-    return (events[:, None] == 1) & (times[:, None] < times[None, :])
-
-
-def deephit_loss_and_grad(output: HeadOutput, events: np.ndarray,
+def deephit_loss_and_grad(logits: np.ndarray, events: np.ndarray,
                           times: np.ndarray, grid: TimeGrid, sigma: float = 0.1,
                           rank_weight: float = 0.5):
     """Likelihood term plus exponential pairwise ranking penalty, and its
@@ -136,8 +103,10 @@ def deephit_loss_and_grad(output: HeadOutput, events: np.ndarray,
     admissible pairs, F being the cumulative incidence up to and
     including a time's bin; it is zero when no admissible pair exists.
     """
-    likelihood, grad, pmf, bins = _likelihood(output, events, times, grid)
-    adm = _rank_pairs(events, times)
+    likelihood, grad, pmf, bins = _likelihood(logits, events, times, grid)
+    times = np.asarray(times, dtype=float)
+    # admissible (i, j): i had the event strictly before j's time
+    adm = (np.asarray(events) == 1)[:, None] & (times[:, None] < times[None, :])
     if not adm.any():
         return likelihood, grad
     cif = np.cumsum(pmf, axis=1)

@@ -135,21 +135,17 @@ def backward(params: ModelParams, tape: Tape, upstream: np.ndarray):
 
 @dataclass
 class AdamState:
+    """First and second moments, one array per array of `weights + biases`."""
+
     step: int
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: list[np.ndarray]
+    v: list[np.ndarray]
 
 
 def init_adam_state(params: ModelParams) -> AdamState:
-    return AdamState(
-        step=0,
-        m_w=[np.zeros_like(w) for w in params.weights],
-        v_w=[np.zeros_like(w) for w in params.weights],
-        m_b=[np.zeros_like(b) for b in params.biases],
-        v_b=[np.zeros_like(b) for b in params.biases],
-    )
+    arrays = params.weights + params.biases
+    return AdamState(0, [np.zeros_like(p) for p in arrays],
+                     [np.zeros_like(p) for p in arrays])
 
 
 def adam_step(params: ModelParams, weight_grads: Sequence[np.ndarray],
@@ -163,27 +159,17 @@ def adam_step(params: ModelParams, weight_grads: Sequence[np.ndarray],
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
     decay = 1.0 - lr * weight_decay
-
-    def update(p, g, m, v):
+    new_p, new_state = [], AdamState(t, [], [])
+    for p, g, m, v in zip(params.weights + params.biases,
+                          [*weight_grads, *bias_grads], state.m, state.v):
         m_new = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
         v_new = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         step = lr * (m_new / c1) / (np.sqrt(v_new / c2) + ADAM_EPS)
-        return p * decay - step, m_new, v_new
-
-    new_w, new_b = [], []
-    new_state = AdamState(t, [], [], [], [])
-    for i in range(len(params.weights)):
-        w, m, v = update(params.weights[i], weight_grads[i],
-                         state.m_w[i], state.v_w[i])
-        new_w.append(w)
-        new_state.m_w.append(m)
-        new_state.v_w.append(v)
-        b, mb, vb = update(params.biases[i], bias_grads[i],
-                           state.m_b[i], state.v_b[i])
-        new_b.append(b)
-        new_state.m_b.append(mb)
-        new_state.v_b.append(vb)
-    return ModelParams(params.spec, new_w, new_b), new_state
+        new_p.append(p * decay - step)
+        new_state.m.append(m_new)
+        new_state.v.append(v_new)
+    n = len(params.weights)
+    return ModelParams(params.spec, new_p[:n], new_p[n:]), new_state
 
 
 def params_to_dict(params: ModelParams) -> dict:

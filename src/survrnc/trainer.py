@@ -101,13 +101,7 @@ class TrainHistory:
     final_val_ci: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "best_val_ci": self.best_val_ci,
-            "final_val_ci": self.final_val_ci,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -156,9 +150,8 @@ def _check_feature_names(model: TrainedModel, dataset: Dataset) -> None:
 def _model_risks(model: TrainedModel, features: np.ndarray):
     emb, _ = nn.forward(model.encoder, features)
     logits, _ = nn.forward(model.head, emb)
-    pmf = heads.pmf_from_logits(heads.HeadOutput(logits))
-    curve = heads.survival_curve(pmf, model.grid)
-    return heads.risk_score(curve), emb
+    curve = heads.survival_curve(heads.pmf_from_logits(logits))
+    return heads.risk_score(curve, model.grid), emb
 
 
 def _settle_allocator() -> None:
@@ -212,6 +205,8 @@ def train(dataset: Dataset, cfg: TrainConfig):
 
     batch_size = min(cfg.batch_size, len(train_ds))
     steps_per_epoch = max(1, len(train_ds) // batch_size)
+    features, events, times = (train_ds.feature_matrix(), train_ds.events(),
+                               train_ds.times())
     val_features = val_ds.feature_matrix()
     val_events, val_times = val_ds.events(), val_ds.times()
     weights = sampling_weights(train_ds, cfg.sampler)
@@ -220,27 +215,25 @@ def train(dataset: Dataset, cfg: TrainConfig):
     beta = cfg.loss.beta
     step = 0
     for epoch in range(1, cfg.epochs + 1):
-        epoch_prog, epoch_rnc, epoch_total = [], [], []
         for _ in range(steps_per_epoch):
             step += 1
             idx = sample_batch(len(train_ds), batch_size, weights,
                                seed=cfg.seed, step=step)
-            batch_patients = [train_ds.patients[i] for i in idx]
             aug = dataclasses.replace(
                 cfg.augment, seed=_derived_seed(cfg.augment.seed, cfg.seed, step))
-            views, ev2, t2 = two_view_augment(batch_patients, aug)
+            views, ev2, t2 = two_view_augment(features[idx], events[idx],
+                                              times[idx], aug)
 
             emb, enc_tape = nn.forward(encoder, views)
             _check_finite(step, "embeddings", emb)
             logits, head_tape = nn.forward(head, emb)
             _check_finite(step, "head logits", logits)
-            output = heads.HeadOutput(logits)
             if cfg.head == "deephit":
                 prog_value, dlogits = heads.deephit_loss_and_grad(
-                    output, ev2, t2, grid, cfg.deephit_sigma,
+                    logits, ev2, t2, grid, cfg.deephit_sigma,
                     cfg.deephit_rank_weight)
             else:
-                prog_value, dlogits = heads.mtlr_loss_and_grad(output, ev2, t2, grid)
+                prog_value, dlogits = heads.mtlr_loss_and_grad(logits, ev2, t2, grid)
             emb_batch = loss_mod.EmbeddingBatch(emb, ev2, t2)
             if beta != 0.0:
                 rnc_value, rnc_grad = loss_mod.survrnc_loss_and_grad(
@@ -263,9 +256,6 @@ def train(dataset: Dataset, cfg: TrainConfig):
 
             history.steps.append({"step": step, "loss_prognosis": prog_value,
                                   "loss_survrnc": rnc_value, "loss_total": total})
-            epoch_prog.append(prog_value)
-            epoch_rnc.append(rnc_value)
-            epoch_total.append(total)
 
         model = TrainedModel(encoder, head, cfg.head, grid,
                              dataset.feature_names, cfg.deephit_sigma,
@@ -275,11 +265,11 @@ def train(dataset: Dataset, cfg: TrainConfig):
             val_ci = metrics.concordance_index(val_risks, val_events, val_times)
         except metrics.NoComparablePairsError:
             val_ci = 0.5
+        records = history.steps[-steps_per_epoch:]
         history.epochs.append({
             "epoch": epoch,
-            "loss_prognosis": float(np.mean(epoch_prog)),
-            "loss_survrnc": float(np.mean(epoch_rnc)),
-            "loss_total": float(np.mean(epoch_total)),
+            **{key: float(np.mean([r[key] for r in records]))
+               for key in ("loss_prognosis", "loss_survrnc", "loss_total")},
             "val_ci": val_ci,
         })
 
@@ -336,11 +326,18 @@ def lambda_sweep(dataset: Dataset, cfg: TrainConfig,
     return table
 
 
+def _write_json(payload: dict, path) -> None:
+    """The layout of every JSON file survrnc writes: sorted keys, two-space
+    indent, trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+
+
 CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(model: TrainedModel, cfg: TrainConfig, path) -> None:
-    payload = {
+    _write_json({
         "version": CHECKPOINT_VERSION,
         "encoder": nn.params_to_dict(model.encoder),
         "head": nn.params_to_dict(model.head),
@@ -350,9 +347,7 @@ def save_checkpoint(model: TrainedModel, cfg: TrainConfig, path) -> None:
         "deephit_sigma": model.deephit_sigma,
         "deephit_rank_weight": model.deephit_rank_weight,
         "train_config": cfg.to_dict(),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    }, path)
 
 
 def load_checkpoint(path) -> TrainedModel:
@@ -371,6 +366,4 @@ def load_checkpoint(path) -> TrainedModel:
 
 
 def save_history(history: TrainHistory, cfg: TrainConfig, path) -> None:
-    payload = {"config": cfg.to_dict(), **history.to_dict()}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    _write_json({"config": cfg.to_dict(), **history.to_dict()}, path)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import itertools
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import survrnc
-from survrnc import pairsets, trainer
+from survrnc import heads, pairsets, trainer
 from survrnc.cli import build_parser, main
 from survrnc.data import load_csv, save_csv, SynthConfig, generate_synthetic
 from survrnc.core import Dataset, Patient
@@ -193,6 +194,19 @@ class TestConfigFlags:
                for a in _subcommand(command)._actions
                for flag in a.option_strings if flag.startswith("--")]
         assert got == [("--help", "help", None), *own, *CONFIG_FLAGS]
+
+    def test_generate_flags_are_pinned(self):
+        got = [(a.option_strings, a.dest, a.choices, a.default, a.required, a.type)
+               for a in _subcommand("generate")._actions[1:]]
+        assert got == [
+            (["--n"], "n", None, None, True, int),
+            (["--d-in"], "d_in", None, 10, False, int),
+            (["--risk-model"], "risk_model", ("linear", "quadratic"), "linear",
+             False, None),
+            (["--base-rate"], "base_rate", None, 0.1, False, float),
+            (["--target-censoring"], "target_censoring", None, 0.3, False, float),
+            (["--seed"], "seed", None, None, True, int),
+            (["--out"], "out", None, None, True, Path)]
 
     def test_every_config_flag_is_exercised(self):
         given = {arg for arg in CONFIG_ARGS if arg.startswith("--")}
@@ -457,6 +471,15 @@ class TestPublicSurface:
                 and getattr(v, "__module__", None) == "survrnc.pairsets"} == {
             "delta_bound_matrices", "pair_set_masks"}
         assert [v.__name__ for _, v in members if inspect.ismodule(v)] == ["numpy"]
+
+    def test_heads_hand_over_plain_arrays(self):
+        # five public functions, one softmax, no wrapper classes
+        own = [v for v in vars(heads).values()
+               if getattr(v, "__module__", None) == "survrnc.heads"]
+        assert not any(dataclasses.is_dataclass(v) for v in own)
+        assert {v.__name__ for v in own if inspect.isfunction(v)} == {
+            "pmf_from_logits", "survival_curve", "risk_score", "mtlr_loss_and_grad",
+            "deephit_loss_and_grad", "_softmax", "_likelihood"}
 
 
 class TestBlasThreads:

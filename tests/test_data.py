@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from survrnc.core import Patient, ValidationError
+from survrnc.core import ValidationError
 from survrnc.data import (
     AugmentConfig,
     ParseError,
@@ -113,38 +113,37 @@ class TestCsvRoundTrip:
             load_csv(path)
 
 
-def make_patients(n, seed=0):
+def make_batch(n, seed=0):
     rng = np.random.default_rng(seed)
-    return [Patient(f"p{i}", rng.standard_normal(3), int(rng.integers(0, 2)),
-                    float(rng.uniform(1, 50))) for i in range(n)]
+    return rng.standard_normal((n, 3)), rng.integers(0, 2, n), rng.uniform(1, 50, n)
 
 
 class TestTwoViewAugment:
     def test_identity_augmentation(self):
-        batch = make_patients(4)
-        views, events, times = two_view_augment(batch, AugmentConfig(0.0, 0.0, 0))
+        batch = make_batch(4)
+        views, events, times = two_view_augment(*batch, AugmentConfig(0.0, 0.0, 0))
         assert views.shape == (8, 3)
-        for i, p in enumerate(batch):
-            assert np.array_equal(views[2 * i], p.features)
-            assert np.array_equal(views[2 * i + 1], p.features)
+        for i, row in enumerate(batch[0]):
+            assert np.array_equal(views[2 * i], row)
+            assert np.array_equal(views[2 * i + 1], row)
 
     def test_labels_repeated_pairwise(self):
-        batch = make_patients(3)
-        views, events, times = two_view_augment(batch, AugmentConfig(0.1, 0.1, 1))
+        batch = make_batch(3)
+        views, events, times = two_view_augment(*batch, AugmentConfig(0.1, 0.1, 1))
         assert views.shape == (6, 3)
-        assert list(events) == [p.event for p in batch for _ in range(2)]
-        assert list(times) == [p.time for p in batch for _ in range(2)]
+        assert list(events) == [e for e in batch[1] for _ in range(2)]
+        assert list(times) == [t for t in batch[2] for _ in range(2)]
 
     def test_deterministic_given_seed(self):
-        batch = make_patients(5)
-        a = two_view_augment(batch, AugmentConfig(0.2, 0.2, 42))
-        b = two_view_augment(batch, AugmentConfig(0.2, 0.2, 42))
+        batch = make_batch(5)
+        a = two_view_augment(*batch, AugmentConfig(0.2, 0.2, 42))
+        b = two_view_augment(*batch, AugmentConfig(0.2, 0.2, 42))
         assert np.array_equal(a[0], b[0])
 
     def test_noise_and_dropout_applied(self):
-        batch = make_patients(50)
-        views, _, _ = two_view_augment(batch, AugmentConfig(0.5, 0.3, 3))
-        base = np.repeat(np.stack([p.features for p in batch]), 2, axis=0)
+        batch = make_batch(50)
+        views, _, _ = two_view_augment(*batch, AugmentConfig(0.5, 0.3, 3))
+        base = np.repeat(batch[0], 2, axis=0)
         assert not np.array_equal(views, base)
         zero_frac = (views == 0.0).mean()
         assert 0.2 <= zero_frac <= 0.4

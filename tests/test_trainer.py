@@ -130,6 +130,33 @@ class TestTrain:
         assert history.final_val_ci == cis[-1]
 
 
+class TestPinnedTraining:
+    """Per head: loss_prognosis and loss_survrnc of 4 steps, val CI of 2 epochs."""
+
+    PINNED = {
+        "mtlr": ([1.1990780731176152, 1.1527245302896272, 1.2295538948282407,
+                  1.175942554375614],
+                 [3.504418625887138, 3.5514109847760453, 3.5484688852391666,
+                  3.559437175852561],
+                 [0.5138888888888888, 0.6527777777777778]),
+        "deephit": ([1.747708248019917, 1.6790954185215674, 1.7485768863950781,
+                     1.6745650139292156],
+                    [3.504418625887138, 3.5518437656629542, 3.549434703666818,
+                     3.5606899810578696],
+                    [0.5138888888888888, 0.5694444444444444]),
+    }
+
+    @pytest.mark.parametrize("head", ["mtlr", "deephit"])
+    def test_step_losses_and_val_ci(self, small_dataset, head):
+        cfg = dataclasses.replace(TINY_CFG, head=head, batch_size=32, lr=0.01)
+        _, history = train(small_dataset, cfg)
+        got = ([r["loss_prognosis"] for r in history.steps],
+               [r["loss_survrnc"] for r in history.steps],
+               [e["val_ci"] for e in history.epochs])
+        for values, pinned in zip(got, self.PINNED[head]):
+            assert values == pytest.approx(pinned, rel=1e-12)
+
+
 class TestBenchmarkNames:
     """The benchmark times each public function a survrnc module defines,
     as module.function, and reads per-layer metrics off some of those
@@ -207,8 +234,8 @@ class TestEvaluate:
         report = evaluate(model, small_dataset)
         emb, _ = nn.forward(model.encoder, small_dataset.feature_matrix())
         logits, _ = nn.forward(model.head, emb)
-        pmf = heads.pmf_from_logits(heads.HeadOutput(logits))
-        risks = heads.risk_score(heads.survival_curve(pmf, model.grid))
+        pmf = heads.pmf_from_logits(logits)
+        risks = heads.risk_score(heads.survival_curve(pmf), model.grid)
         expected = concordance_index(risks, small_dataset.events(),
                                      small_dataset.times())
         assert report.ci == expected
