@@ -13,7 +13,6 @@ from .core import (
     TimeGrid,
     ValidationError,
     discretize_time,
-    validate_dataset,
 )
 from .data import AugmentConfig, SynthConfig, generate_synthetic, load_csv, save_csv
 from .loss import EmbeddingBatch, survrnc_loss, survrnc_loss_and_grad
@@ -65,7 +64,6 @@ __all__ = [
     "survrnc_loss",
     "survrnc_loss_and_grad",
     "train",
-    "validate_dataset",
 ]
 
 __version__ = "0.1.0"

@@ -50,6 +50,10 @@ def _widths(text: str) -> list[int]:
     return [int(w) for w in text.split(",")]
 
 
+def _lambdas(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
 def _add_train_overrides(parser: argparse.ArgumentParser):
     parser.add_argument("--config", type=Path, help="JSON config file")
     for path, default in _config_fields():
@@ -165,8 +169,7 @@ def _cmd_pairsets(args) -> int:
 def _cmd_lambda_sweep(args) -> int:
     cfg = _resolve_config(args)
     dataset = load_csv(args.data)
-    lambdas = [float(x) for x in args.lambdas.split(",")]
-    table = trainer.lambda_sweep(dataset, cfg, lambdas)
+    table = trainer.lambda_sweep(dataset, cfg, args.lambdas)
     trainer._write_json({"table": table}, args.out)
     for row in table:
         print(f"lambda={row['lambda']:g} val_ci={row['val_ci']:.4f}")
@@ -212,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("lambda-sweep",
                         help="train once per lambda and tabulate validation CI")
     sw.add_argument("--data", type=Path, required=True)
-    sw.add_argument("--lambdas", default="0.3,0.5,0.7,1.0")
+    sw.add_argument("--lambdas", type=_lambdas, default="0.3,0.5,0.7,1.0")
     sw.add_argument("--out", type=Path, required=True)
     sw.add_argument("--seed", type=int)
     _add_train_overrides(sw)

@@ -1,18 +1,18 @@
-"""Domain types, dataset validation, time-grid discretization, and the
-pairwise distances the loss and the metrics share.
+"""Domain types, time-grid discretization, and the pairwise distances the
+loss and the metrics share.
 
-Everything here is immutable after construction and safe to share across
-workers. `Patient`/`Dataset` are dumb records: they can hold invalid data,
-and `validate_dataset` is the single place where invariants are enforced
-and reported.
+A `Dataset` is valid by construction: building one checks every patient
+and raises a single `ValidationError` listing each violation, so the
+layers below it trust its columns and take plain arrays. Everything here
+is immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 # numpy imports these on first use (np.random; np.unique imports numpy.ma):
@@ -39,14 +39,70 @@ class Patient:
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
 
 
+@dataclass(frozen=True)
+class Violation:
+    code: str
+    patient_id: str | None
+    detail: str
+
+    def __str__(self) -> str:
+        who = self.patient_id if self.patient_id is not None else "<dataset>"
+        return f"{self.code}({who}): {self.detail}"
+
+
+class ValidationError(ValueError):
+    """Raised when a `Dataset` is built; carries every violation found."""
+
+    def __init__(self, violations: Sequence[Violation]):
+        self.violations = tuple(violations)
+        super().__init__("; ".join(str(v) for v in self.violations))
+
+    def codes(self) -> set[str]:
+        return {v.code for v in self.violations}
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
+    """Patients with one feature vector each, named by `feature_names`.
+
+    Construction enforces every invariant and raises one `ValidationError`
+    listing all violations, one per offending patient, with codes
+    NonFiniteFeature, NegativeTime, BadEventFlag, RaggedFeatures,
+    DuplicateId, AllCensored.
+    """
+
     patients: tuple[Patient, ...]
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "patients", tuple(self.patients))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        violations: list[Violation] = []
+        expected_len = len(self.feature_names)
+        seen: dict[str, int] = {}
+        for p in self.patients:
+            if p.features.ndim != 1 or p.features.shape[0] != expected_len:
+                violations.append(Violation(
+                    "RaggedFeatures", p.id,
+                    f"expected {expected_len} features, got {p.features.shape}"))
+            elif not np.all(np.isfinite(p.features)):
+                violations.append(Violation(
+                    "NonFiniteFeature", p.id, "features contain NaN or infinity"))
+            if not (math.isfinite(p.time) and p.time >= 0):
+                violations.append(Violation(
+                    "NegativeTime", p.id, f"time must be finite and >= 0, got {p.time}"))
+            if p.event not in (0, 1):
+                violations.append(Violation(
+                    "BadEventFlag", p.id, f"event must be 0 or 1, got {p.event!r}"))
+            seen[p.id] = seen.get(p.id, 0) + 1
+        for pid, count in seen.items():
+            if count > 1:
+                violations.append(Violation("DuplicateId", pid, f"appears {count} times"))
+        if not any(p.event == 1 for p in self.patients):
+            violations.append(Violation(
+                "AllCensored", None, "dataset needs at least one uncensored patient"))
+        if violations:
+            raise ValidationError(violations)
 
     def __len__(self) -> int:
         return len(self.patients)
@@ -62,9 +118,6 @@ class Dataset:
 
     def feature_matrix(self) -> np.ndarray:
         return np.stack([p.features for p in self.patients])
-
-    def subset(self, indices: Iterable[int]) -> "Dataset":
-        return Dataset(tuple(self.patients[i] for i in indices), self.feature_names)
 
 
 @dataclass(frozen=True)
@@ -88,64 +141,6 @@ class LossConfig:
             raise ValueError(f"lam must be in [0, 1], got {self.lam}")
         if not self.beta >= 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-
-
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    patient_id: str | None
-    detail: str
-
-    def __str__(self) -> str:
-        who = self.patient_id if self.patient_id is not None else "<dataset>"
-        return f"{self.code}({who}): {self.detail}"
-
-
-class ValidationError(ValueError):
-    """Raised by `validate_dataset`; carries every violation found."""
-
-    def __init__(self, violations: Sequence[Violation]):
-        self.violations = tuple(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
-
-    def codes(self) -> set[str]:
-        return {v.code for v in self.violations}
-
-
-def validate_dataset(raw: Dataset) -> Dataset:
-    """Return `raw` unchanged if every invariant holds, else raise.
-
-    The raised `ValidationError` lists all violations, one per offending
-    patient, with codes NonFiniteFeature, NegativeTime, BadEventFlag,
-    RaggedFeatures, DuplicateId, AllCensored.
-    """
-    violations: list[Violation] = []
-    expected_len = len(raw.feature_names)
-    seen: dict[str, int] = {}
-    for p in raw.patients:
-        if p.features.ndim != 1 or p.features.shape[0] != expected_len:
-            violations.append(Violation(
-                "RaggedFeatures", p.id,
-                f"expected {expected_len} features, got {p.features.shape}"))
-        elif not np.all(np.isfinite(p.features)):
-            violations.append(Violation(
-                "NonFiniteFeature", p.id, "features contain NaN or infinity"))
-        if not (math.isfinite(p.time) and p.time >= 0):
-            violations.append(Violation(
-                "NegativeTime", p.id, f"time must be finite and >= 0, got {p.time}"))
-        if p.event not in (0, 1):
-            violations.append(Violation(
-                "BadEventFlag", p.id, f"event must be 0 or 1, got {p.event!r}"))
-        seen[p.id] = seen.get(p.id, 0) + 1
-    for pid, count in seen.items():
-        if count > 1:
-            violations.append(Violation("DuplicateId", pid, f"appears {count} times"))
-    if not any(p.event == 1 for p in raw.patients):
-        violations.append(Violation(
-            "AllCensored", None, "dataset needs at least one uncensored patient"))
-    if violations:
-        raise ValidationError(violations)
-    return raw
 
 
 class DegenerateTimesWarning(UserWarning):
@@ -182,7 +177,8 @@ class TimeGrid:
         return np.searchsorted(self.cut_points, t, side="right")
 
 
-def discretize_time(dataset: Dataset, num_bins: int) -> TimeGrid:
+def discretize_time(times: np.ndarray, events: np.ndarray,
+                    num_bins: int) -> TimeGrid:
     """Build a TimeGrid from nearest-rank quantiles of uncensored times.
 
     Cut points are the empirical quantiles at fractions k/num_bins for
@@ -194,11 +190,9 @@ def discretize_time(dataset: Dataset, num_bins: int) -> TimeGrid:
     """
     if num_bins < 1:
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-    times = dataset.times()
-    events = dataset.events()
     uncensored = np.sort(times[events == 1])
     if uncensored.size == 0:
-        raise ValueError("no uncensored patients; validate the dataset first")
+        raise ValueError("no uncensored patients")
     distinct = np.unique(uncensored[uncensored > 0])
     if distinct.size == 0:
         raise ValueError("no positive uncensored time; cannot build a grid")
@@ -210,7 +204,8 @@ def discretize_time(dataset: Dataset, num_bins: int) -> TimeGrid:
         )
         return TimeGrid(distinct)
     n = uncensored.size
-    ranks = np.ceil(np.arange(1, num_bins + 1) / num_bins * n).astype(int)
+    # rank ceil(k n / K), in integers: the float quotient can land one high
+    ranks = (np.arange(1, num_bins + 1) * n + num_bins - 1) // num_bins
     cuts = uncensored[ranks - 1]
     cuts = np.unique(cuts[cuts > 0])
     return TimeGrid(cuts)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Patient, validate_dataset
+from .core import Dataset, Patient
 
 _RISK_MODELS = ("linear", "quadratic")
 _SAMPLER_MODES = ("uniform", "event_balanced")
@@ -123,7 +123,7 @@ def generate_synthetic(cfg: SynthConfig):
         for i in range(cfg.n)
     )
     names = tuple(f"x{j + 1}" for j in range(cfg.d_in))
-    return validate_dataset(Dataset(patients, names)), risks
+    return Dataset(patients, names), risks
 
 
 def load_csv(path) -> Dataset:
@@ -160,7 +160,7 @@ def load_csv(path) -> Dataset:
                 except ValueError:
                     raise ParseError(f"bad value {cell!r}", row=row_num, col=name) from None
             patients.append(Patient(pid, features, event, time))
-    return validate_dataset(Dataset(tuple(patients), feature_names))
+    return Dataset(patients, feature_names)
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -194,7 +194,7 @@ def two_view_augment(features: np.ndarray, events: np.ndarray,
     return views, np.repeat(events, 2), np.repeat(times, 2).astype(float)
 
 
-def sampling_weights(dataset: Dataset, weights_mode: str) -> np.ndarray | None:
+def sampling_weights(events: np.ndarray, weights_mode: str) -> np.ndarray | None:
     """Per-patient draw probabilities for `sample_batch`.
 
     None for `uniform`. `event_balanced` weights each patient inversely to
@@ -205,10 +205,9 @@ def sampling_weights(dataset: Dataset, weights_mode: str) -> np.ndarray | None:
         raise ValueError(f"weights_mode must be one of {_SAMPLER_MODES}")
     if weights_mode == "uniform":
         return None
-    events = dataset.events()
     frac_event = events.mean()
     if frac_event in (0.0, 1.0):
-        weights = np.ones(len(dataset))
+        weights = np.ones(len(events))
     else:
         weights = np.where(events == 1, 1.0 / frac_event, 1.0 / (1.0 - frac_event))
     return weights / weights.sum()

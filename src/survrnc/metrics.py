@@ -47,7 +47,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Dataset, sq_distance_blocks
+from .core import sq_distance_blocks
 
 DEFAULT_HORIZON_FRACTIONS = (0.25, 0.5, 0.75)
 # largest number of uncensored pairs `embedding_ordinality` ranks; below
@@ -301,8 +301,8 @@ def embedding_ordinality(embeddings: np.ndarray, events: np.ndarray,
     return max(-1.0, min(1.0, _exact_dot(a, b) / scale))
 
 
-def horizon_from_fraction(dataset: Dataset, fraction: float) -> float:
-    """`fraction` of the maximum observed time in the dataset."""
+def horizon_from_fraction(times: np.ndarray, fraction: float) -> float:
+    """`fraction` of the maximum observed time in `times`."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    return fraction * float(dataset.times().max())
+    return fraction * float(times.max())

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import heads, loss as loss_mod, metrics, nn
-from .core import Dataset, LossConfig, TimeGrid, discretize_time, validate_dataset
+from .core import Dataset, LossConfig, TimeGrid, discretize_time
 from .data import AugmentConfig, sample_batch, sampling_weights, two_view_augment
 
 _HEADS = ("mtlr", "deephit")
@@ -119,16 +119,14 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def stratified_split(dataset: Dataset, seed: int,
-                     val_fraction: float = VAL_FRACTION):
-    """Event-stratified train/validation index split (80/20 by default)."""
-    events = dataset.events()
+def stratified_split(events: np.ndarray, seed: int):
+    """Event-stratified 80/20 train/validation split of the patient indices."""
     rng = np.random.default_rng([seed, 101])
     train_idx, val_idx = [], []
     for cls in (0, 1):
         members = np.flatnonzero(events == cls)
         rng.shuffle(members)
-        n_val = int(np.floor(val_fraction * members.size))
+        n_val = int(np.floor(VAL_FRACTION * members.size))
         val_idx.extend(members[:n_val])
         train_idx.extend(members[n_val:])
     return np.sort(train_idx).astype(int), np.sort(val_idx).astype(int)
@@ -187,11 +185,14 @@ def train(dataset: Dataset, cfg: TrainConfig):
     validation split with no comparable pair records CI 0.5.
     """
     _settle_allocator()
-    dataset = validate_dataset(dataset)
-    train_idx, val_idx = stratified_split(dataset, cfg.seed)
-    train_ds = dataset.subset(train_idx)
-    val_ds = dataset.subset(val_idx) if val_idx.size else train_ds
-    grid = discretize_time(train_ds, cfg.num_bins)
+    features, events, times = (dataset.feature_matrix(), dataset.events(),
+                               dataset.times())
+    train_idx, val_idx = stratified_split(events, cfg.seed)
+    val_idx = val_idx if val_idx.size else train_idx
+    val_features, val_events, val_times = (
+        features[val_idx], events[val_idx], times[val_idx])
+    features, events, times = features[train_idx], events[train_idx], times[train_idx]
+    grid = discretize_time(times, events, cfg.num_bins)
 
     d_in = len(dataset.feature_names)
     enc_spec = nn.MlpSpec((d_in, *cfg.hidden_widths, cfg.d_emb), cfg.activation,
@@ -203,13 +204,9 @@ def train(dataset: Dataset, cfg: TrainConfig):
     enc_state = nn.init_adam_state(encoder)
     head_state = nn.init_adam_state(head)
 
-    batch_size = min(cfg.batch_size, len(train_ds))
-    steps_per_epoch = max(1, len(train_ds) // batch_size)
-    features, events, times = (train_ds.feature_matrix(), train_ds.events(),
-                               train_ds.times())
-    val_features = val_ds.feature_matrix()
-    val_events, val_times = val_ds.events(), val_ds.times()
-    weights = sampling_weights(train_ds, cfg.sampler)
+    batch_size = min(cfg.batch_size, len(train_idx))
+    steps_per_epoch = max(1, len(train_idx) // batch_size)
+    weights = sampling_weights(events, cfg.sampler)
 
     history = TrainHistory()
     beta = cfg.loss.beta
@@ -217,7 +214,7 @@ def train(dataset: Dataset, cfg: TrainConfig):
     for epoch in range(1, cfg.epochs + 1):
         for _ in range(steps_per_epoch):
             step += 1
-            idx = sample_batch(len(train_ds), batch_size, weights,
+            idx = sample_batch(len(train_idx), batch_size, weights,
                                seed=cfg.seed, step=step)
             aug = dataclasses.replace(
                 cfg.augment, seed=_derived_seed(cfg.augment.seed, cfg.seed, step))
@@ -281,14 +278,13 @@ def train(dataset: Dataset, cfg: TrainConfig):
 
 def evaluate(model: TrainedModel, dataset: Dataset) -> metrics.EvalReport:
     """Risk-score CI, horizon AUCs and embedding ordinality on `dataset`."""
-    dataset = validate_dataset(dataset)
     _check_feature_names(model, dataset)
     risks, emb = _model_risks(model, dataset.feature_matrix())
     events, times = dataset.events(), dataset.times()
     ci = metrics.concordance_index(risks, events, times)
     auc_at = {}
     for frac in metrics.DEFAULT_HORIZON_FRACTIONS:
-        horizon = metrics.horizon_from_fraction(dataset, frac)
+        horizon = metrics.horizon_from_fraction(times, frac)
         auc_at[frac] = metrics.cumulative_dynamic_auc(risks, events, times, horizon)
     ordinality = metrics.embedding_ordinality(emb, events, times)
     used = metrics.ordinality_subset(events).size
@@ -299,7 +295,6 @@ def evaluate(model: TrainedModel, dataset: Dataset) -> metrics.EvalReport:
 
 def export_embeddings(model: TrainedModel, dataset: Dataset, path) -> None:
     """Write one CSV row per patient: id, time, event, v_1..v_{d_emb}."""
-    dataset = validate_dataset(dataset)
     _check_feature_names(model, dataset)
     emb, _ = nn.forward(model.encoder, dataset.feature_matrix())
     path = Path(path)
@@ -317,13 +312,11 @@ def lambda_sweep(dataset: Dataset, cfg: TrainConfig,
     """Train one model per lambda with a shared seed; report validation CI."""
     if len(lambdas) < 1:
         raise ValueError("need at least one lambda value")
-    table = []
-    for lam in lambdas:
-        swept = dataclasses.replace(
-            cfg, loss=dataclasses.replace(cfg.loss, lam=lam))
-        _, history = train(dataset, swept)
-        table.append({"lambda": lam, "val_ci": history.final_val_ci})
-    return table
+    # every swept config is built, so every lambda checked, before any training
+    swept = [dataclasses.replace(cfg, loss=dataclasses.replace(cfg.loss, lam=lam))
+             for lam in lambdas]
+    return [{"lambda": c.loss.lam, "val_ci": train(dataset, c)[1].final_val_ci}
+            for c in swept]
 
 
 def _write_json(payload: dict, path) -> None:

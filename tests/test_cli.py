@@ -241,6 +241,23 @@ def trained_dir(data_csv, config_json, tmp_path_factory):
 
 
 class TestEvaluateAndExport:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "export-embeddings"])
+    def test_dataset_is_validated_once(self, command, trained_dir, data_csv,
+                                       config_json, tmp_path, monkeypatch):
+        # building a Dataset validates it, so each build is one validation
+        builds = []
+        post_init = Dataset.__post_init__
+        monkeypatch.setattr(Dataset, "__post_init__",
+                            lambda ds: builds.append(ds) or post_init(ds))
+        ckpt = str(trained_dir / "checkpoint.json")
+        args = {"train": ["--config", str(config_json), "--seed", "7",
+                          "--out-dir", str(tmp_path)],
+                "evaluate": ["--checkpoint", ckpt, "--out", str(tmp_path / "eval.json")],
+                "export-embeddings": ["--checkpoint", ckpt,
+                                      "--out", str(tmp_path / "emb.csv")]}[command]
+        assert main([command, "--data", str(data_csv), *args]) == 0
+        assert len(builds) == 1
+
     def test_evaluate_writes_report(self, trained_dir, data_csv, tmp_path):
         out = tmp_path / "eval.json"
         rc = main(["evaluate", "--checkpoint", str(trained_dir / "checkpoint.json"),
@@ -419,6 +436,16 @@ class TestPairsetsCommand:
 
 
 class TestLambdaSweepCommand:
+    def test_unparsable_lambda_is_a_usage_error(self, data_csv, tmp_path,
+                                                monkeypatch):
+        calls = []
+        monkeypatch.setattr(trainer, "train", lambda *a: calls.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["lambda-sweep", "--data", str(data_csv), "--seed", "7",
+                  "--lambdas", "0.5,x", "--out", str(tmp_path / "sweep.json")])
+        assert exc.value.code == 2
+        assert calls == []
+
     def test_table_json(self, data_csv, config_json, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         rc = main(["lambda-sweep", "--data", str(data_csv), "--config",
@@ -459,7 +486,7 @@ class TestPublicSurface:
             "embedding_ordinality", "evaluate", "export_embeddings",
             "generate_synthetic", "horizon_from_fraction", "lambda_sweep",
             "load_checkpoint", "load_csv", "save_checkpoint", "save_csv",
-            "survrnc_loss", "survrnc_loss_and_grad", "train", "validate_dataset",
+            "survrnc_loss", "survrnc_loss_and_grad", "train",
         ]
         for name in survrnc.__all__:
             assert getattr(survrnc, name) is not None

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from survrnc.core import (
     ValidationError,
     discretize_time,
     sq_distance_blocks,
-    validate_dataset,
 )
 
 
@@ -33,116 +33,104 @@ VALID_ROWS = [
 ]
 
 
-class TestValidateDataset:
-    def test_identity_on_valid_input(self):
-        ds = make_dataset(VALID_ROWS)
-        assert validate_dataset(ds) is ds
-
-    def test_idempotent(self):
-        ds = make_dataset(VALID_ROWS)
-        assert validate_dataset(validate_dataset(ds)) is ds
+class TestDatasetConstruction:
+    def test_valid_rows_build_the_same_patients(self):
+        patients = tuple(Patient(*row) for row in VALID_ROWS)
+        ds = Dataset(patients, ("x1", "x2"))
+        assert ds.patients == patients
+        assert ds.feature_names == ("x1", "x2")
 
     def test_negative_time(self):
-        ds = make_dataset(VALID_ROWS + [("d", [1.0, 1.0], 1, -1.0)])
         with pytest.raises(ValidationError) as exc:
-            validate_dataset(ds)
+            make_dataset(VALID_ROWS + [("d", [1.0, 1.0], 1, -1.0)])
         assert exc.value.codes() == {"NegativeTime"}
         assert any(v.patient_id == "d" for v in exc.value.violations)
 
     def test_all_censored(self):
-        ds = make_dataset([("a", [1.0, 2.0], 0, 10.0), ("b", [0.0, 1.0], 0, 5.0)])
         with pytest.raises(ValidationError) as exc:
-            validate_dataset(ds)
+            make_dataset([("a", [1.0, 2.0], 0, 10.0), ("b", [0.0, 1.0], 0, 5.0)])
         assert exc.value.codes() == {"AllCensored"}
 
     def test_bad_event_flag(self):
-        ds = make_dataset(VALID_ROWS + [("d", [1.0, 1.0], 2, 3.0)])
         with pytest.raises(ValidationError) as exc:
-            validate_dataset(ds)
+            make_dataset(VALID_ROWS + [("d", [1.0, 1.0], 2, 3.0)])
         assert exc.value.codes() == {"BadEventFlag"}
 
     def test_non_finite_feature(self):
-        ds = make_dataset(VALID_ROWS + [("d", [np.nan, 1.0], 1, 3.0)])
         with pytest.raises(ValidationError) as exc:
-            validate_dataset(ds)
+            make_dataset(VALID_ROWS + [("d", [np.nan, 1.0], 1, 3.0)])
         assert exc.value.codes() == {"NonFiniteFeature"}
 
     def test_ragged_features(self):
-        ds = make_dataset(VALID_ROWS + [("d", [1.0], 1, 3.0)])
         with pytest.raises(ValidationError) as exc:
-            validate_dataset(ds)
+            make_dataset(VALID_ROWS + [("d", [1.0], 1, 3.0)])
         assert exc.value.codes() == {"RaggedFeatures"}
 
     def test_duplicate_id(self):
-        ds = make_dataset(VALID_ROWS + [("a", [1.0, 1.0], 1, 3.0)])
         with pytest.raises(ValidationError) as exc:
-            validate_dataset(ds)
+            make_dataset(VALID_ROWS + [("a", [1.0, 1.0], 1, 3.0)])
         assert exc.value.codes() == {"DuplicateId"}
 
     def test_every_violation_reported(self):
-        ds = make_dataset([
-            ("a", [1.0, 2.0], 1, -2.0),
-            ("a", [np.inf, 0.0], 3, 1.0),
-        ])
         with pytest.raises(ValidationError) as exc:
-            validate_dataset(ds)
+            make_dataset([
+                ("a", [1.0, 2.0], 1, -2.0),
+                ("a", [np.inf, 0.0], 3, 1.0),
+            ])
         assert exc.value.codes() == {
             "NegativeTime", "NonFiniteFeature", "BadEventFlag", "DuplicateId",
         }
+        assert str(exc.value) == (
+            "NegativeTime(a): time must be finite and >= 0, got -2.0; "
+            "NonFiniteFeature(a): features contain NaN or infinity; "
+            "BadEventFlag(a): event must be 0 or 1, got 3; "
+            "DuplicateId(a): appears 2 times")
 
 
-def nearest_rank_quantile(sorted_values, fraction):
-    # independent oracle: ceil-rank rule on a sorted sample
+def nearest_rank_quantile(sorted_values, k, num_bins):
+    # independent oracle: ceil-rank rule on a sorted sample, in exact
+    # rational arithmetic
     n = len(sorted_values)
-    rank = math.ceil(fraction * n)
+    rank = math.ceil(Fraction(k, num_bins) * n)
     return sorted_values[rank - 1]
+
+
+def cuts(times, events, num_bins):
+    return discretize_time(np.array(times, dtype=float), np.array(events),
+                           num_bins).cut_points.tolist()
 
 
 class TestDiscretizeTime:
     def test_two_bins_matches_nearest_rank_oracle(self):
         times = [10.0, 20.0, 30.0, 40.0]
-        ds = make_dataset(
-            [(f"p{i}", [0.0, 0.0], 1, t) for i, t in enumerate(times)])
-        grid = discretize_time(ds, 2)
-        expected = [nearest_rank_quantile(sorted(times), k / 2) for k in (1, 2)]
+        expected = [nearest_rank_quantile(sorted(times), k, 2) for k in (1, 2)]
         assert expected == [20.0, 40.0]
-        assert grid.cut_points.tolist() == expected
+        assert cuts(times, [1] * 4, 2) == expected
 
-    def test_uniform_hundred_four_bins(self):
+    @pytest.mark.parametrize("num_bins, expected", [
+        (4, [25.0, 50.0, 75.0, 100.0]),
+        # k n / K is an integer at every k; a float quotient put cut 11 at 56
+        (20, [5.0 * k for k in range(1, 21)]),
+    ])
+    def test_uniform_hundred(self, num_bins, expected):
         times = [float(t) for t in range(1, 101)]
-        ds = make_dataset(
-            [(f"p{i}", [0.0, 0.0], 1, t) for i, t in enumerate(times)])
-        grid = discretize_time(ds, 4)
-        expected = [nearest_rank_quantile(sorted(times), k / 4) for k in range(1, 5)]
-        assert expected == [25.0, 50.0, 75.0, 100.0]
-        assert grid.cut_points.tolist() == expected
+        assert [nearest_rank_quantile(times, k, num_bins)
+                for k in range(1, num_bins + 1)] == expected
+        assert cuts(times, [1] * 100, num_bins) == expected
 
     def test_degenerate_fallback(self):
-        ds = make_dataset([
-            ("a", [0.0, 0.0], 1, 7.0),
-            ("b", [0.0, 0.0], 0, 3.0),
-            ("c", [0.0, 0.0], 1, 7.0),
-        ])
         with pytest.warns(DegenerateTimesWarning):
-            grid = discretize_time(ds, 3)
+            grid = discretize_time(np.array([7.0, 3.0, 7.0]), np.array([1, 0, 1]), 3)
         assert grid.cut_points.tolist() == [7.0]
         assert grid.num_bins == 1
 
     def test_censored_times_ignored(self):
-        ds = make_dataset([
-            ("a", [0.0, 0.0], 1, 10.0),
-            ("b", [0.0, 0.0], 1, 20.0),
-            ("c", [0.0, 0.0], 0, 999.0),
-        ])
-        grid = discretize_time(ds, 2)
-        assert grid.cut_points.tolist() == [10.0, 20.0]
+        assert cuts([10.0, 20.0, 999.0], [1, 1, 0], 2) == [10.0, 20.0]
 
     def test_order_invariance(self):
-        rows = [(f"p{i}", [0.0, 0.0], i % 2, float(t))
-                for i, t in enumerate([13, 2, 8, 21, 5, 34, 1, 55])]
-        forward = discretize_time(make_dataset(rows), 3)
-        backward = discretize_time(make_dataset(rows[::-1]), 3)
-        assert forward.cut_points.tolist() == backward.cut_points.tolist()
+        times = [13.0, 2.0, 8.0, 21.0, 5.0, 34.0, 1.0, 55.0]
+        events = [i % 2 for i in range(len(times))]
+        assert cuts(times, events, 3) == cuts(times[::-1], events[::-1], 3)
 
 
 class TestTimeGrid:

@@ -156,7 +156,7 @@ class TestSampleBatch:
         return ds
 
     def draw(self, ds, batch_size, mode, seed, step):
-        return sample_batch(len(ds), batch_size, sampling_weights(ds, mode),
+        return sample_batch(len(ds), batch_size, sampling_weights(ds.events(), mode),
                             seed=seed, step=step)
 
     def test_full_batch_uniform_returns_all(self):
@@ -198,7 +198,7 @@ class TestSampleBatch:
         # ~80% censored: inverse-frequency weights should even the classes
         ds = self.make_ds(n=400, censoring=0.8)
         events = ds.events()
-        weights = sampling_weights(ds, "event_balanced")
+        weights = sampling_weights(events, "event_balanced")
         shares = [
             events[sample_batch(len(ds), 16, weights, seed=3, step=s)].mean()
             for s in range(10000)
@@ -212,4 +212,4 @@ class TestSampleBatch:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="weights_mode"):
-            sampling_weights(self.make_ds(n=10), "stratified")
+            sampling_weights(self.make_ds(n=10).events(), "stratified")

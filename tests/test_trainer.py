@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import survrnc.loss as loss_mod
-from survrnc.core import LossConfig
+from survrnc.core import Dataset, LossConfig
 from survrnc.data import AugmentConfig, SynthConfig, generate_synthetic
 from survrnc.metrics import concordance_index
 from survrnc.trainer import (
@@ -24,7 +24,7 @@ from survrnc.trainer import (
     stratified_split,
     train,
 )
-from survrnc import heads, metrics, nn
+from survrnc import heads, metrics, nn, trainer
 
 from oracles import spearman_ordinality
 
@@ -198,23 +198,34 @@ class TestBenchmarkNames:
         assert sorted(calls) == sorted(
             [f"{head}_loss_and_grad", "survrnc_loss_and_grad"] * steps)
 
+    def test_dataset_calls_the_benchmark_makes(self, small_dataset):
+        # bench/run.py::build_inputs splits one generated dataset in two
+        k = 50
+        part = Dataset(small_dataset.patients[:k], small_dataset.feature_names)
+        assert len(part) == k
+        assert part.ids() == small_dataset.ids()[:k]
+        assert np.array_equal(part.events(), small_dataset.events()[:k])
+        assert np.array_equal(part.times(), small_dataset.times()[:k])
+        assert np.array_equal(part.feature_matrix(),
+                              small_dataset.feature_matrix()[:k])
+
 
 class TestStratifiedSplit:
     def test_partition(self, small_dataset):
-        tr, va = stratified_split(small_dataset, seed=0)
+        tr, va = stratified_split(small_dataset.events(), seed=0)
         merged = sorted(np.concatenate([tr, va]).tolist())
         assert merged == list(range(len(small_dataset)))
 
     def test_stratification(self, small_dataset):
-        tr, va = stratified_split(small_dataset, seed=0)
+        tr, va = stratified_split(small_dataset.events(), seed=0)
         events = small_dataset.events()
         total_uncens = events.sum()
         va_uncens = events[va].sum()
         assert va_uncens == int(np.floor(0.2 * total_uncens))
 
     def test_deterministic(self, small_dataset):
-        a = stratified_split(small_dataset, seed=5)
-        b = stratified_split(small_dataset, seed=5)
+        a = stratified_split(small_dataset.events(), seed=5)
+        b = stratified_split(small_dataset.events(), seed=5)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -314,6 +325,13 @@ class TestLambdaSweep:
     def test_requires_values(self, small_dataset):
         with pytest.raises(ValueError):
             lambda_sweep(small_dataset, TINY_CFG, [])
+
+    def test_bad_lambda_fails_before_training(self, small_dataset, monkeypatch):
+        calls = []
+        monkeypatch.setattr(trainer, "train", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="lam must be in"):
+            lambda_sweep(small_dataset, TINY_CFG, [0.5, 1.5])
+        assert calls == []
 
 
 class TestCheckpoint:
