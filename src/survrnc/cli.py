@@ -152,17 +152,17 @@ def _cmd_pairsets(args) -> int:
     dataset = load_csv(args.data)
     ids = dataset.ids()
     n = len(ids)
-    neg, unc = ps.pair_set_masks(dataset.events(), dataset.times())
-    letters = np.full((n, n, n), ord("D"), dtype=np.uint8)
-    letters[unc] = ord("U")
-    letters[neg] = ord("N")
-    letters[np.arange(n), :, np.arange(n)] = ord(".")  # k = a
     print("a,p," + ",".join(ids))
-    for a in range(n):
-        for p in range(n):
-            if p != a:
-                row = ",".join(letters[a, p].tobytes().decode())
-                print(f"{ids[a]},{ids[p]},{row}")
+    # one anchor's (n, n) letters at a time: O(n^2) memory, not O(n^3)
+    for a, (neg, unc) in enumerate(ps.anchor_pair_sets(dataset.events(),
+                                                       dataset.times())):
+        letters = np.full((n, n), ord("D"), dtype=np.uint8)
+        letters[unc] = ord("U")
+        letters[neg] = ord("N")
+        letters[:, a] = ord(".")  # k = a
+        sys.stdout.write("".join(
+            f"{ids[a]},{ids[p]},{','.join(letters[p].tobytes().decode())}\n"
+            for p in range(n) if p != a))
     return 0
 
 

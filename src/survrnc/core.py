@@ -251,9 +251,9 @@ def sq_distance_blocks(v: np.ndarray, rows: int) -> Iterator[np.ndarray]:
         guard = np.add(norms[start:stop, None], norms[start:])
         out += guard
         guard *= GUARD_KAPPA
-        close = np.flatnonzero(out < guard)
+        close, = (out < guard).ravel().nonzero()
         if close.size:
             i, j = np.divmod(close, out.shape[1])
             diff = v[start + i] - v[start + j]
-            out.flat[close] = np.einsum("ij,ij->i", diff, diff)
+            out.ravel()[close] = np.einsum("ij,ij->i", diff, diff)
         yield out

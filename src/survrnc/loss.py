@@ -13,8 +13,11 @@ within about 20 gamma_{d+2} (7e-14 at d = 32) relative of the exact one.
 One kernel serves every batch size in O(B^2 log B) time and O(B^2)
 memory. One sort of the anchor's row by time threshold orders every sum:
 each pair's denominator is a suffix sum from the positive's tie group,
-each member's gradient weight a prefix sum. Both run in log space, so no
-denominator underflows however far apart the embeddings lie.
+each member's gradient weight a prefix sum; which members count at their
+own place follows from the labels (`pairsets.exact_bounds`). A row is
+summed in linear space (one exp, cumulative sums) unless its similarities
+span too wide a range for that (`LINEAR_SPREAD`); then it is summed in log
+space, so no denominator underflows however far apart the embeddings lie.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LossConfig, sq_distance_blocks
-from .pairsets import delta_bound_matrices
+from .pairsets import exact_bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +68,21 @@ def survrnc_loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig):
     return _loss_and_grad(batch, cfg, want_grad=True)
 
 
+# A row a is summed in linear space, shifted by its largest x[a, k] = m
+# (k != a), when its members span S = max x - min x with
+# S + ln(B + 1) < LINEAR_SPREAD. Then every quantity the sums touch is a
+# normal double: each exp(x - m) lies in [e^-S, 1]; each sum of them,
+# d e^-m included, in [e^-S, B] (d holds p itself, so it is never 0);
+# each e^m / d in [1/B, e^S] and each prefix sum of those in [1/B, B e^S];
+# each member's weight exp(x[a, k]) / d summed over pairs, when not 0, in
+# [e^-S / B, B / lam]. ln of the smallest normal double is -708.4 and of
+# the largest 709.8, so nothing underflows or overflows, each operation
+# keeps its relative error u, and every sum is within about B u of the
+# exact one, as in log space. Wider rows, whose members lie more than
+# ~700 tau apart, are summed in log space.
+LINEAR_SPREAD = 700.0
+
+
 def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
     """The loss kernel.
 
@@ -73,79 +91,61 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
     where N sums exp(x[a, k]) over the negatives k (lo[a, k] >= theta[a, p],
     plus p itself when its own class is uncertain) and H over negatives and
     uncertains (hi[a, k] >= theta[a, p]). lo[a, k] is theta[a, k] or 0 and
-    hi[a, k] is theta[a, k] or inf, so one ascending sort of row a by theta
-    orders both sums. A member whose bound is theta counts at its own
-    place. A lo = 0 member counts at the first place, so it joins N only
-    for pairs with theta = 0; a hi = inf member counts at the last place,
-    so it joins every H. N and H are suffix sums read at the first place
-    of p's tie group. The gradient weight of member k, the sum of 1/d over
-    the pairs whose N or H holds k, is one prefix sum of 1/d read at the
-    last place of the tie group k counts in.
+    hi[a, k] is theta[a, k] or inf (`pairsets.exact_bounds` says which from
+    the labels), so one ascending sort of row a by theta orders both sums.
+    A member whose bound is theta counts at its own place. A lo = 0 member
+    counts at the first place, so it joins N only for pairs with theta = 0;
+    a hi = inf member counts at the last place, so it joins every H. N and
+    H are suffix sums read at the first place of p's tie group. The
+    gradient weight of member k, the sum of 1/d over the pairs whose N or
+    H holds k, is one prefix sum of 1/d read at the last place of the tie
+    group k counts in.
     """
     v = batch.embeddings
     n = batch.size
     tau, lam = cfg.temperature, cfg.lam
-    lo, hi, theta = delta_bound_matrices(batch.events, batch.times)
     rows = np.arange(n)[:, None]
+    theta = np.abs(batch.times[:, None] - batch.times)
     # flat index of each row's members in ascending theta; every (B, B)
     # matrix from here on lists its rows in that order
     ranked = np.argsort(theta, axis=1) + n * rows
     # per bound kind: members whose bound is theta, the others' place, weight
-    kinds = [(np.take(bound == theta, ranked), place, weight)
-             for bound, place, weight in ((lo, 0, 1.0 - lam), (hi, -1, lam))
+    kinds = [(np.take(exact, ranked), place, weight) for exact, place, weight
+             in zip(exact_bounds(batch.events, batch.times), (0, -1), (1.0 - lam, lam))
              if weight > 0]
-    theta = np.take(theta, ranked)
-    sq_dist, = sq_distance_blocks(v, n)
-    dist = np.take(np.sqrt(sq_dist), ranked)
+    first, last = _tie_groups(np.take(theta, ranked))
+    dist = np.take(np.sqrt(next(sq_distance_blocks(v, n))), ranked)
     x = -dist / tau
-    is_self = ranked == rows * (n + 1)
+    mine = np.argmax(ranked == rows * (n + 1), axis=1)  # the place of k = a
+    is_self = (rows, mine[:, None])
     x[is_self] = -np.inf  # k = a never participates
-    places = np.arange(n)
-    tie = np.zeros((n, n + 1), dtype=bool)  # tie[:, j]: place j ties place j - 1
-    tie[:, 1:-1] = theta[:, 1:] == theta[:, :-1]
-    first = np.maximum.accumulate(np.where(tie[:, :-1], 0, places), axis=1) + n * rows
 
-    log_sums = []
-    for exact, place, _ in kinds:
-        addends = np.where(exact, x, -np.inf)
-        others = np.where(exact, -np.inf, x)
-        top = others.max(axis=1, initial=np.finfo(float).min)
-        with np.errstate(divide="ignore"):  # log 0 = -inf: no others in the row
-            total = np.log(np.exp(others - top[:, None]).sum(axis=1)) + top
-        addends[:, place] = np.logaddexp(addends[:, place], total)
-        suffix = np.logaddexp.accumulate(addends[:, ::-1], axis=1)[:, ::-1]
-        log_sums.append(np.take(suffix, first))
-    log_d = log_sums[0]
-    if lam < 1:
-        promo = ~kinds[0][0]  # p uncertain to itself: promoted to the negatives
-        log_d = np.where(promo, np.maximum(log_d, x) + np.log1p(
-            np.exp(-np.abs(log_d - x))), log_d)  # vector logaddexp, 6x faster
-    if len(log_sums) == 2:
-        log_h = log_sums[1]
-        # H == N means no uncertain mass, and d is N exactly for every lam
-        log_d = np.where(log_h > log_d, log_h + np.log(
-            lam + (1.0 - lam) * np.exp(log_d - log_h)), log_d)
+    wide = x.max(axis=1) + dist.max(axis=1) / tau + np.log(n + 1) >= LINEAR_SPREAD
+    if not wide.any():
+        parts = _linear_rows(x, lam, kinds, first, last, mine, want_grad)
+    else:
+        parts = [np.empty((n, n)) for _ in range(1 + len(kinds) if want_grad else 1)]
+        for path, r in ((_linear_rows, ~wide), (_log_rows, wide)):
+            r = np.flatnonzero(r)
+            sub = [(exact[r], place, weight) for exact, place, weight in kinds]
+            for out, part in zip(parts, path(x[r], lam, sub, first[r], last[r],
+                                             mine[r], want_grad)):
+                out[r] = part
     # d >= exp(x[a, p]) because p sits in its own denominator with weight 1;
     # rounding in the lam mix may undercut that by an ulp
-    terms = np.where(is_self, 0.0, np.maximum(log_d - x, 0.0))  # p = a: no pair
+    terms = np.maximum(parts[0], 0.0)
+    terms[is_self] = 0.0  # p = a: no pair
     num_pairs = n * (n - 1)
     value = float(terms.sum() / num_pairs)
     if not want_grad:
         return value, None
 
-    prefix = np.logaddexp.accumulate(np.where(is_self, -np.inf, -log_d), axis=1)
-    last = np.minimum.accumulate(np.where(tie[:, 1:], n - 1, places)[:, ::-1],
-                                 axis=1)[:, ::-1] + n * rows
-    own = np.take(prefix, last)
     # coeff[a, k] = d(summed terms) / d x[a, k]: the weight exp(x[a, k]) / d
     # of k in every denominator holding it, less each pair's own x[a, p]
-    # (both split by kind, so a lone positive's terms cancel exactly); the
-    # weights are <= 1 each, so no exp below overflows
+    # (both split by kind, so a lone positive's terms cancel exactly)
     coeff = np.zeros((n, n))
-    for exact, place, weight in kinds:
-        coeff += weight * (np.exp(x + np.where(exact, own, own[:, place, None])) - 1.0)
-    if lam < 1:
-        coeff += (1.0 - lam) * promo * np.exp(x - log_d)
+    for (_, _, weight), held in zip(kinds, parts[1:]):
+        coeff += weight * (held - 1.0)
     coeff[is_self] = 0.0
     coeff /= tau * num_pairs
 
@@ -154,3 +154,91 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
     w.ravel()[ranked] = np.divide(coeff, dist, out=np.zeros((n, n)), where=dist > 0)
     s = w + w.T
     return value, s @ v - s.sum(axis=1)[:, None] * v
+
+
+def _tie_groups(theta):
+    """The first and the last place of each place's tie group, in rows
+    sorted ascending."""
+    n = theta.shape[1]
+    places = np.arange(n)
+    tie = np.zeros((theta.shape[0], n + 1), dtype=bool)  # place j ties j - 1
+    tie[:, 1:-1] = theta[:, 1:] == theta[:, :-1]
+    first = np.maximum.accumulate(places * ~tie[:, :-1], axis=1)
+    last = np.minimum.accumulate(np.maximum(places, (n - 1) * tie[:, 1:])[:, ::-1],
+                                 axis=1)[:, ::-1]
+    return first, last
+
+
+def _linear_rows(x, lam, kinds, first, last, mine, want_grad):
+    """Rows of log d - x and, with `want_grad`, per kind, of each member's
+    weight exp(x) / d summed over the denominators holding it (a promoted
+    positive's weight in its own N included), summed in linear space."""
+    m, n = x.shape
+    at = n * np.arange(m)[:, None]  # flat offset of each row
+    is_self = (np.arange(m)[:, None], mine[:, None])
+    z = x - x.max(axis=1, keepdims=True)
+    z[is_self] = 0.0  # finite, so exp keeps to its vector path
+    e = np.exp(z)
+    e[is_self] = 0.0
+    d, outsides = None, []
+    for exact, place, _ in kinds:
+        addends = e * exact  # members counted at their own place
+        outside = e - addends  # the others, counted at `place`
+        addends[:, place] += outside.sum(axis=1)
+        # a censored anchor has no member at its own place in H, which is
+        # then its row total at every place: scan only the other rows
+        live = np.flatnonzero(exact.any(axis=1))
+        s = np.repeat(addends[:, place, None], n, axis=1)
+        s[live] = np.take(np.cumsum(addends[live, ::-1], axis=1),
+                          n - 1 - first[live] + at[:live.size])
+        if place == 0:  # p uncertain to itself: promoted to the negatives
+            s += outside
+        # d = N + lam (H - N): when H == N (no uncertain mass) d is N exactly
+        d = s if d is None else d + lam * (s - d)
+        outsides.append(outside)
+    parts = [np.log(d) - z]
+    if want_grad:
+        inv = 1.0 / d
+        inv[is_self] = 0.0  # p = a: no pair
+        held = np.take(np.cumsum(inv, axis=1), last + at)
+        # k's weight in its own pair's denominator is the quotient e / d,
+        # 1 exactly for a lone positive, so its -1 cancels exactly: the
+        # prefix sums give the other pairs holding k. A member at the first
+        # place holds its own N only when promoted.
+        own = e / d
+        others = held - inv
+        for (_, place, _), outside in zip(kinds, outsides):
+            parts.append((e - outside) * others + own + outside * (
+                held[:, :1] if place == 0 else held[:, -1:] - inv))
+    return parts
+
+
+def _log_rows(x, lam, kinds, first, last, mine, want_grad):
+    """`_linear_rows` summed in log space, for rows too wide for it."""
+    m, n = x.shape
+    at = n * np.arange(m)[:, None]
+    sums = []
+    for exact, place, _ in kinds:
+        addends = np.where(exact, x, -np.inf)
+        addends[:, place] = np.logaddexp(addends[:, place], np.logaddexp.reduce(
+            np.where(exact, -np.inf, x), axis=1))
+        suffix = np.logaddexp.accumulate(addends[:, ::-1], axis=1)
+        sums.append(np.take(suffix, n - 1 - first + at))
+    log_d = sums[0]
+    if lam < 1:
+        log_d = np.where(kinds[0][0], log_d, np.logaddexp(log_d, x))
+    if len(sums) == 2:
+        log_h = sums[1]
+        log_d = np.where(log_h > log_d, log_h + np.log(
+            lam + (1.0 - lam) * np.exp(log_d - log_h)), log_d)
+    parts = [log_d - x]
+    if want_grad:
+        neg_log_d = -log_d
+        neg_log_d[np.arange(m), mine] = -np.inf  # p = a: no pair
+        prefix = np.logaddexp.accumulate(neg_log_d, axis=1)
+        for exact, place, _ in kinds:
+            held = last[:, place, None]
+            parts.append(np.exp(x + np.take(prefix, held + exact * (last - held) + at)))
+        if lam < 1:  # a promoted positive also holds its own N
+            parts[1] += ~kinds[0][0] * np.exp(x - log_d)
+    return parts

@@ -496,7 +496,7 @@ class TestPublicSurface:
         members = vars(pairsets).items()
         assert {name for name, v in members if not name.startswith("_")
                 and getattr(v, "__module__", None) == "survrnc.pairsets"} == {
-            "delta_bound_matrices", "pair_set_masks"}
+            "anchor_pair_sets", "delta_bound_matrices", "exact_bounds", "pair_set_masks"}
         assert [v.__name__ for _, v in members if inspect.ismodule(v)] == ["numpy"]
 
     def test_heads_hand_over_plain_arrays(self):
@@ -540,9 +540,39 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+# prints how many mmapped chunks one 1 MiB malloc adds: 1 at glibc's
+# start thresholds (128 KiB), 0 once `_settle_allocator` has raised them
+MMAP_PROBE = """
+import ctypes, sys
+from survrnc import trainer
+if sys.argv[1] == "settled":
+    trainer._settle_allocator()
+libc = ctypes.CDLL(None)
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+libc.mallinfo2.restype = Mallinfo2
+libc.malloc.argtypes = (ctypes.c_size_t,)
+libc.malloc.restype = ctypes.c_void_p
+libc.free.argtypes = (ctypes.c_void_p,)
+before = libc.mallinfo2().hblks
+block = libc.malloc(1 << 20)
+print(libc.mallinfo2().hblks - before)
+libc.free(block)
+"""
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="sets glibc malloc thresholds")
 class TestAllocator:
+    @pytest.mark.skipif(tuple(int(part) for part in platform.libc_ver()[1].split(".")
+                              if part.isdigit()) < (2, 33),
+                        reason="mallinfo2 is glibc 2.33 and later")
+    def test_settled_heap_serves_a_large_block(self):
+        assert run_python(MMAP_PROBE, "default").strip() == "1"
+        assert run_python(MMAP_PROBE, "settled").strip() == "0"
+
     def test_training_steps_keep_their_heap(self):
         # 24 steps of 256 views, called from Python rather than the CLI:
         # with glibc's start thresholds every step faults its temporaries

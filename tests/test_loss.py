@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import (LengthMismatchError, build_pair_sets, dense_loss_and_grad,
                      pair_likelihood, similarity)
 from survrnc.core import LossConfig, Patient
-from survrnc.loss import EmbeddingBatch, survrnc_loss, survrnc_loss_and_grad
+from survrnc.loss import (LINEAR_SPREAD, EmbeddingBatch, survrnc_loss,
+                          survrnc_loss_and_grad)
 
 CFG = LossConfig(temperature=2.0, lam=0.5, beta=1.0)
 
@@ -257,19 +258,25 @@ class TestOracleAgreement:
 
     @pytest.mark.parametrize("lam", [0.0, 0.01, 0.37, 1.0])
     @pytest.mark.parametrize("case", [
-        "all_times_equal", "single_event", "two_events", "two_censored",
-        "event_and_later_censored", "two_views_censored", "two_view_b96"])
+        "all_times_equal", "single_event", "single_event_b64", "two_events",
+        "two_censored", "event_and_later_censored", "two_views_censored",
+        "two_view_b96"])
     def test_tie_groups_and_edges_match_dense_oracle(self, case, lam):
         rng = np.random.default_rng(17)
-        n = {"all_times_equal": 9, "single_event": 12, "two_view_b96": 96}.get(case, 2)
+        n = {"all_times_equal": 9, "single_event": 12, "single_event_b64": 64,
+             "two_view_b96": 96}.get(case, 2)
         emb = rng.standard_normal((n, 3))
         events = rng.integers(0, 2, n)
         times = rng.uniform(0, 100, n)
         if case == "all_times_equal":  # one tie group holds the whole row
             times[:] = 30.0
-        elif case == "single_event":
+        elif case == "single_event":  # every H row but one is constant
             events[:] = 0
             events[4] = 1
+        elif case == "single_event_b64":  # one uncensored view, two-view times
+            events = np.zeros(n, int)
+            events[17] = 1
+            times = np.repeat(rng.choice([5.0, 10.0, 20.0, 40.0, 80.0], 32), 2)
         elif case == "two_view_b96":  # 60% censored, time ties across patients
             events = np.repeat((rng.random(48) > 0.6).astype(int), 2)
             times = np.repeat(rng.choice([5.0, 10.0, 20.0, 40.0, 80.0], 48), 2)
@@ -318,6 +325,34 @@ class TestOracleAgreement:
         cfg = LossConfig(2.0, lam, 1.0)
         v1, g1 = dense_loss_and_grad(b, cfg)
         v2, g2 = survrnc_loss_and_grad(b, cfg)
+        assert abs(v1 - v2) <= 1e-12 * max(abs(v1), 1.0)
+        assert np.abs(g1 - g2).max() <= 1e-8 * np.abs(g1).max()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("side", [-0.5, 0.5])
+    def test_either_side_of_the_linear_spread(self, side, lam):
+        # views on a line 0, 1, 2, ..., and one at `far`: the row of view 0
+        # spans (far - 1) / tau, the widest, and sits `side` from where
+        # the kernel turns from linear to log space; the others stay linear
+        n, tau = 8, 1.0
+        far = LINEAR_SPREAD - np.log(n + 1) + 1.0 + side
+        emb = np.zeros((n, 2))
+        emb[:, 0] = np.arange(n)
+        emb[-1, 0] = far
+        spans = [np.ptp(np.delete(np.abs(emb[:, 0] - emb[a, 0]), a)) / tau
+                 for a in range(n)]
+        assert (max(spans) + np.log(n + 1) < LINEAR_SPREAD) == (side < 0)
+        assert sorted(spans)[-2] + np.log(n + 1) < LINEAR_SPREAD
+        rng = np.random.default_rng(19)
+        events = rng.integers(0, 2, n)
+        events[0] = 1
+        times = rng.choice([1.0, 2.0, 3.0], n)
+        b = EmbeddingBatch(emb, events, times)
+        cfg = LossConfig(tau, lam, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v2, g2 = survrnc_loss_and_grad(b, cfg)
+        v1, g1 = dense_loss_and_grad(b, cfg)
         assert abs(v1 - v2) <= 1e-12 * max(abs(v1), 1.0)
         assert np.abs(g1 - g2).max() <= 1e-8 * np.abs(g1).max()
 

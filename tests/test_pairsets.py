@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from survrnc.core import Patient
-from survrnc.pairsets import delta_bound_matrices, pair_set_masks
+from survrnc.pairsets import (anchor_pair_sets, delta_bound_matrices, exact_bounds,
+                               pair_set_masks)
 
 from oracles import (
     DISREGARD_CODE,
@@ -187,25 +188,53 @@ def patient_batches(draw):
     return [P(int(e), t, f"p{i}") for i, (e, t) in enumerate(rows)]
 
 
+# (event, time) rows with tied, zero and censored-equal times
+label_rows = st.lists(st.tuples(st.booleans(), st.one_of(
+    st.sampled_from([0.0, 0.1, 10.0, 25.0]),
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))),
+    min_size=1, max_size=40)
+
+
+def label_arrays(rows):
+    return np.array([int(e) for e, _ in rows]), np.array([t for _, t in rows])
+
+
 class TestBoundIdentity:
     """Each interval bound is the threshold or an extreme, bit for bit:
     lo is theta or 0 and hi is theta or inf. The loss kernel orders every
-    sum by theta alone on the strength of this."""
+    sum by theta alone on the strength of this, and tells the two cases
+    apart from the labels (`exact_bounds`)."""
 
-    @given(st.lists(st.tuples(st.booleans(), st.one_of(
-        st.sampled_from([0.0, 0.1, 10.0, 25.0]),
-        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))),
-        min_size=1, max_size=40))
+    @given(label_rows)
     @settings(max_examples=200)
     def test_bounds_are_theta_or_extreme(self, rows):
-        events = np.array([int(e) for e, _ in rows])
-        times = np.array([t for _, t in rows])
-        lo, hi, theta = delta_bound_matrices(events, times)
+        lo, hi, theta = delta_bound_matrices(*label_arrays(rows))
         bits = np.uint64
         assert np.array_equal(np.where(lo == theta, theta, 0.0).view(bits),
                               lo.view(bits))
         assert np.array_equal(np.where(hi == theta, theta, np.inf).view(bits),
                               hi.view(bits))
+
+    @given(label_rows)
+    @settings(max_examples=200)
+    def test_exact_bounds_match_the_bound_matrices(self, rows):
+        events, times = label_arrays(rows)
+        lo, hi, theta = delta_bound_matrices(events, times)
+        lo_exact, hi_exact = exact_bounds(events, times)
+        assert np.array_equal(lo_exact, lo == theta)
+        assert np.array_equal(hi_exact, hi == theta)
+        # k = a: lo = 0 = theta always; hi = 0 only if uncensored
+        assert lo_exact.diagonal().all()
+        assert np.array_equal(hi_exact.diagonal(), events == 1)
+
+    @given(label_rows)
+    @settings(max_examples=50)
+    def test_anchor_rows_are_slices_of_the_masks(self, rows):
+        events, times = label_arrays(rows)
+        neg, unc = pair_set_masks(events, times)
+        for a, (neg_a, unc_a) in enumerate(anchor_pair_sets(events, times)):
+            assert np.array_equal(neg_a, neg[a])
+            assert np.array_equal(unc_a, unc[a])
 
 
 class TestProperties:
