@@ -16,7 +16,7 @@ import numpy as np
 from survrnc import nn, metrics
 from survrnc.core import LossConfig
 from survrnc.data import AugmentConfig, SynthConfig, generate_synthetic
-from survrnc.trainer import TrainConfig, train, _derived_seed
+from survrnc.trainer import TrainConfig, init_model, train
 
 
 def experiment_config(seed: int, lam: float = 0.5, beta: float = 1.0) -> TrainConfig:
@@ -48,9 +48,7 @@ def run_seed(seed: int, n: int, censoring: float):
             "ordinality": full_ordinality(model.encoder, dataset),
         }
     cfg = experiment_config(seed)
-    init_encoder = nn.init_params(
-        nn.MlpSpec((10, *cfg.hidden_widths, cfg.d_emb), cfg.activation,
-                   seed=_derived_seed(cfg.seed, 1)))
+    init_encoder, _ = init_model(cfg, len(dataset.feature_names), cfg.num_bins)
     init_ord = full_ordinality(init_encoder, dataset)
     return {
         "seed": seed,

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import pairsets as ps
 from . import trainer
-from .data import (_RISK_MODELS, _SAMPLER_MODES, SynthConfig, generate_synthetic,
-                   load_csv, save_csv)
+from .core import ValidationError
+from .data import (_RISK_MODELS, _SAMPLER_MODES, ParseError, SynthConfig,
+                   generate_synthetic, load_csv, save_csv)
 from .trainer import TrainConfig
 
 # The train and lambda-sweep flags come from the TrainConfig fields, with
@@ -225,9 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     trainer._settle_allocator()
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, ValidationError) as exc:  # a malformed data file
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -115,7 +115,7 @@ def deephit_loss_and_grad(logits: np.ndarray, events: np.ndarray,
     margins = own[:, None] - f_at.T
     c = np.where(adm, np.exp(-margins / sigma), 0.0)
     pairs = adm.sum()
-    rank = float(c[adm].sum() / pairs)
+    rank = float(c.sum() / pairs)  # c is 0 off adm
     c *= rank_weight / (sigma * pairs)
 
     cum_mask = np.arange(pmf.shape[1])[None, :] <= bins[:, None]  # (B, K+1), 1[l <= b_i]

@@ -14,10 +14,11 @@ One kernel serves every batch size in O(B^2 log B) time and O(B^2)
 memory. One sort of the anchor's row by time threshold orders every sum:
 each pair's denominator is a suffix sum from the positive's tie group,
 each member's gradient weight a prefix sum; which members count at their
-own place follows from the labels (`pairsets.exact_bounds`). A row is
-summed in linear space (one exp, cumulative sums) unless its similarities
-span too wide a range for that (`LINEAR_SPREAD`); then it is summed in log
-space, so no denominator underflows however far apart the embeddings lie.
+own place follows from the labels (`pairsets.exact_bounds`). A batch is
+summed in linear space (one exp, cumulative sums) unless some row's
+similarities span too wide a range for that (`LINEAR_SPREAD`); then every
+row is summed in log space, so no denominator underflows however far
+apart the embeddings lie.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ def survrnc_loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig):
     return _loss_and_grad(batch, cfg, want_grad=True)
 
 
-# A row a is summed in linear space, shifted by its largest x[a, k] = m
-# (k != a), when its members span S = max x - min x with
-# S + ln(B + 1) < LINEAR_SPREAD. Then every quantity the sums touch is a
+# A batch is summed in linear space, each row a shifted by its largest
+# x[a, k] = m (k != a), when the members of every row span S = max x - min x
+# with S + ln(B + 1) < LINEAR_SPREAD. Then every quantity the sums touch is a
 # normal double: each exp(x - m) lies in [e^-S, 1]; each sum of them,
 # d e^-m included, in [e^-S, B] (d holds p itself, so it is never 0);
 # each e^m / d in [1/B, e^S] and each prefix sum of those in [1/B, B e^S];
@@ -78,8 +79,8 @@ def survrnc_loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig):
 # [e^-S / B, B / lam]. ln of the smallest normal double is -708.4 and of
 # the largest 709.8, so nothing underflows or overflows, each operation
 # keeps its relative error u, and every sum is within about B u of the
-# exact one, as in log space. Wider rows, whose members lie more than
-# ~700 tau apart, are summed in log space.
+# exact one, as in log space. A batch with a wider row, whose members lie
+# more than ~700 tau apart, is summed in log space.
 LINEAR_SPREAD = 700.0
 
 
@@ -116,21 +117,12 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
     first, last = _tie_groups(np.take(theta, ranked))
     dist = np.take(np.sqrt(next(sq_distance_blocks(v, n))), ranked)
     x = -dist / tau
-    mine = np.argmax(ranked == rows * (n + 1), axis=1)  # the place of k = a
-    is_self = (rows, mine[:, None])
+    is_self = (rows, np.argmax(ranked == rows * (n + 1), axis=1)[:, None])  # k = a's place
     x[is_self] = -np.inf  # k = a never participates
 
-    wide = x.max(axis=1) + dist.max(axis=1) / tau + np.log(n + 1) >= LINEAR_SPREAD
-    if not wide.any():
-        parts = _linear_rows(x, lam, kinds, first, last, mine, want_grad)
-    else:
-        parts = [np.empty((n, n)) for _ in range(1 + len(kinds) if want_grad else 1)]
-        for path, r in ((_linear_rows, ~wide), (_log_rows, wide)):
-            r = np.flatnonzero(r)
-            sub = [(exact[r], place, weight) for exact, place, weight in kinds]
-            for out, part in zip(parts, path(x[r], lam, sub, first[r], last[r],
-                                             mine[r], want_grad)):
-                out[r] = part
+    spread = (x.max(axis=1) + dist.max(axis=1) / tau).max() + np.log(n + 1)
+    parts = (_log_rows if spread >= LINEAR_SPREAD else _linear_rows)(
+        x, lam, kinds, first, last, is_self, want_grad)
     # d >= exp(x[a, p]) because p sits in its own denominator with weight 1;
     # rounding in the lam mix may undercut that by an ulp
     terms = np.maximum(parts[0], 0.0)
@@ -169,13 +161,12 @@ def _tie_groups(theta):
     return first, last
 
 
-def _linear_rows(x, lam, kinds, first, last, mine, want_grad):
+def _linear_rows(x, lam, kinds, first, last, is_self, want_grad):
     """Rows of log d - x and, with `want_grad`, per kind, of each member's
     weight exp(x) / d summed over the denominators holding it (a promoted
     positive's weight in its own N included), summed in linear space."""
-    m, n = x.shape
-    at = n * np.arange(m)[:, None]  # flat offset of each row
-    is_self = (np.arange(m)[:, None], mine[:, None])
+    n = len(x)
+    at = n * np.arange(n)[:, None]  # flat offset of each row
     z = x - x.max(axis=1, keepdims=True)
     z[is_self] = 0.0  # finite, so exp keeps to its vector path
     e = np.exp(z)
@@ -213,10 +204,11 @@ def _linear_rows(x, lam, kinds, first, last, mine, want_grad):
     return parts
 
 
-def _log_rows(x, lam, kinds, first, last, mine, want_grad):
-    """`_linear_rows` summed in log space, for rows too wide for it."""
-    m, n = x.shape
-    at = n * np.arange(m)[:, None]
+def _log_rows(x, lam, kinds, first, last, is_self, want_grad):
+    """`_linear_rows` summed in log space, for batches with a row too wide
+    for it."""
+    n = len(x)
+    at = n * np.arange(n)[:, None]
     sums = []
     for exact, place, _ in kinds:
         addends = np.where(exact, x, -np.inf)
@@ -234,7 +226,7 @@ def _log_rows(x, lam, kinds, first, last, mine, want_grad):
     parts = [log_d - x]
     if want_grad:
         neg_log_d = -log_d
-        neg_log_d[np.arange(m), mine] = -np.inf  # p = a: no pair
+        neg_log_d[is_self] = -np.inf  # p = a: no pair
         prefix = np.logaddexp.accumulate(neg_log_d, axis=1)
         for exact, place, _ in kinds:
             held = last[:, place, None]

@@ -4,8 +4,11 @@ For an (anchor, positive) pair the remaining batch members split into
 negatives (their true time difference from the anchor provably meets the
 pair threshold), uncertains (censoring leaves it undecidable) and
 disregarded members (provably below the threshold). Right-censoring makes
-a true event time known only as an interval [T, inf), so the decision is
-interval arithmetic over absolute time differences.
+a true event time known only as an interval [T, inf), so the decision
+compares the range of a pair's absolute true time difference with the
+threshold. Each end of that range is the observed difference or an
+extreme (0 or inf), and the labels say which (`exact_bounds`); the
+interval arithmetic itself is the oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -21,18 +24,13 @@ def delta_bound_matrices(events: np.ndarray, times: np.ndarray):
     lo/hi[i, j] bound |true time i - true time j| while each true time
     ranges over [T, T] if uncensored and [T, inf) if censored; theta[i, j]
     is the observed-time threshold |T_i - T_j|, finite even if censored.
-    Each bound is theta or an extreme: lo is theta or 0, hi is theta or
-    inf (`exact_bounds` says which from the labels alone).
+    Each bound is theta or an extreme, lo theta or 0 and hi theta or inf,
+    so both are built from `exact_bounds`.
     """
-    events = np.asarray(events)
     times = np.asarray(times, dtype=float)
-    lo_t = times
-    hi_t = np.where(events == 1, times, np.inf)
-    lo = np.maximum(0.0, np.maximum(lo_t[:, None] - hi_t[None, :],
-                                    lo_t[None, :] - hi_t[:, None]))
-    hi = np.maximum(hi_t[:, None] - lo_t[None, :], hi_t[None, :] - lo_t[:, None])
-    theta = np.abs(times[:, None] - times[None, :])
-    return lo, hi, theta
+    theta = np.abs(times[:, None] - times)
+    lo_exact, hi_exact = exact_bounds(events, times)
+    return np.where(lo_exact, theta, 0.0), np.where(hi_exact, theta, np.inf), theta
 
 
 def exact_bounds(events: np.ndarray, times: np.ndarray):

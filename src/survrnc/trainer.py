@@ -1,10 +1,11 @@
 """Training loop combining encoder, head, native loss and the ordinal
 contrastive regularizer; evaluation, embedding export, lambda sweep.
 
-Each step samples a batch, builds a two-view augmented batch, encodes it,
-computes the contrastive loss on the embeddings and the head's native
-loss on the same rows, combines them, and backpropagates through head and
-encoder. Everything is deterministic given the config seed.
+`train_step` encodes a two-view batch, adds the head's native loss on the
+embeddings to beta times their contrastive loss, and backpropagates both
+through head and encoder, at fixed parameters. `train` starts from
+`init_model` and loops: sample, augment, step, AdamW update, history.
+Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .core import Dataset, LossConfig, TimeGrid, discretize_time
 from .data import AugmentConfig, sample_batch, sampling_weights, two_view_augment
 
 _HEADS = ("mtlr", "deephit")
+_LOSS_KEYS = ("loss_prognosis", "loss_survrnc", "loss_total")
 VAL_FRACTION = 0.2
 
 
@@ -108,11 +110,8 @@ class TrainHistory:
 class TrainedModel:
     encoder: nn.ModelParams
     head: nn.ModelParams
-    head_kind: str
     grid: TimeGrid
     feature_names: tuple[str, ...]
-    deephit_sigma: float = 0.1
-    deephit_rank_weight: float = 0.5
 
 
 def _derived_seed(*parts: int) -> int:
@@ -175,6 +174,49 @@ def _settle_allocator() -> None:
     mallopt(m_trim_threshold, 64 << 20)
 
 
+def init_model(cfg: TrainConfig, d_in: int, num_bins: int):
+    """The (encoder, head) parameters `train` starts from: `d_in` features
+    to `cfg.d_emb`, then to `num_bins + 1` logits, seeded from `cfg.seed`."""
+    encoder = nn.init_params(nn.MlpSpec((d_in, *cfg.hidden_widths, cfg.d_emb),
+                                        cfg.activation, seed=_derived_seed(cfg.seed, 1)))
+    head = nn.init_params(nn.MlpSpec((cfg.d_emb, num_bins + 1), "relu",
+                                     seed=_derived_seed(cfg.seed, 2)))
+    return encoder, head
+
+
+def train_step(encoder: nn.ModelParams, head: nn.ModelParams, views: np.ndarray,
+               events, times, grid: TimeGrid, cfg: TrainConfig, step: int):
+    """((prognosis, contrastive, total) losses, encoder (weight, bias)
+    gradients, head gradients) of one batch; the total is the head's loss
+    plus beta times the contrastive one. Raises `NonFiniteLossError` at
+    `step` on a non-finite embedding, logit or loss."""
+    beta = cfg.loss.beta
+    emb, enc_tape = nn.forward(encoder, views)
+    _check_finite(step, "embeddings", emb)
+    logits, head_tape = nn.forward(head, emb)
+    _check_finite(step, "head logits", logits)
+    if cfg.head == "deephit":
+        prog_value, dlogits = heads.deephit_loss_and_grad(
+            logits, events, times, grid, cfg.deephit_sigma, cfg.deephit_rank_weight)
+    else:
+        prog_value, dlogits = heads.mtlr_loss_and_grad(logits, events, times, grid)
+    emb_batch = loss_mod.EmbeddingBatch(emb, events, times)
+    if beta != 0.0:
+        rnc_value, rnc_grad = loss_mod.survrnc_loss_and_grad(emb_batch, cfg.loss)
+    else:
+        rnc_value, rnc_grad = loss_mod.survrnc_loss(emb_batch, cfg.loss), None
+    if not (np.isfinite(prog_value) and np.isfinite(rnc_value)):
+        raise NonFiniteLossError(
+            step, f"loss (prognosis={prog_value}, survrnc={rnc_value})")
+
+    head_wg, head_bg, demb = nn.backward(head, head_tape, dlogits)
+    if rnc_grad is not None:
+        demb = demb + beta * rnc_grad
+    enc_wg, enc_bg, _ = nn.backward(encoder, enc_tape, demb)
+    return ((prog_value, rnc_value, prog_value + beta * rnc_value),
+            (enc_wg, enc_bg), (head_wg, head_bg))
+
+
 def train(dataset: Dataset, cfg: TrainConfig):
     """Fit encoder + head on an 80/20 stratified split of `dataset`.
 
@@ -194,13 +236,7 @@ def train(dataset: Dataset, cfg: TrainConfig):
     features, events, times = features[train_idx], events[train_idx], times[train_idx]
     grid = discretize_time(times, events, cfg.num_bins)
 
-    d_in = len(dataset.feature_names)
-    enc_spec = nn.MlpSpec((d_in, *cfg.hidden_widths, cfg.d_emb), cfg.activation,
-                          seed=_derived_seed(cfg.seed, 1))
-    head_spec = nn.MlpSpec((cfg.d_emb, grid.num_bins + 1), "relu",
-                           seed=_derived_seed(cfg.seed, 2))
-    encoder = nn.init_params(enc_spec)
-    head = nn.init_params(head_spec)
+    encoder, head = init_model(cfg, len(dataset.feature_names), grid.num_bins)
     enc_state = nn.init_adam_state(encoder)
     head_state = nn.init_adam_state(head)
 
@@ -209,7 +245,6 @@ def train(dataset: Dataset, cfg: TrainConfig):
     weights = sampling_weights(events, cfg.sampler)
 
     history = TrainHistory()
-    beta = cfg.loss.beta
     step = 0
     for epoch in range(1, cfg.epochs + 1):
         for _ in range(steps_per_epoch):
@@ -220,43 +255,15 @@ def train(dataset: Dataset, cfg: TrainConfig):
                 cfg.augment, seed=_derived_seed(cfg.augment.seed, cfg.seed, step))
             views, ev2, t2 = two_view_augment(features[idx], events[idx],
                                               times[idx], aug)
-
-            emb, enc_tape = nn.forward(encoder, views)
-            _check_finite(step, "embeddings", emb)
-            logits, head_tape = nn.forward(head, emb)
-            _check_finite(step, "head logits", logits)
-            if cfg.head == "deephit":
-                prog_value, dlogits = heads.deephit_loss_and_grad(
-                    logits, ev2, t2, grid, cfg.deephit_sigma,
-                    cfg.deephit_rank_weight)
-            else:
-                prog_value, dlogits = heads.mtlr_loss_and_grad(logits, ev2, t2, grid)
-            emb_batch = loss_mod.EmbeddingBatch(emb, ev2, t2)
-            if beta != 0.0:
-                rnc_value, rnc_grad = loss_mod.survrnc_loss_and_grad(
-                    emb_batch, cfg.loss)
-            else:
-                rnc_value, rnc_grad = loss_mod.survrnc_loss(emb_batch, cfg.loss), None
-            total = prog_value + beta * rnc_value
-            if not (np.isfinite(prog_value) and np.isfinite(rnc_value)):
-                raise NonFiniteLossError(
-                    step, f"loss (prognosis={prog_value}, survrnc={rnc_value})")
-
-            head_wg, head_bg, demb = nn.backward(head, head_tape, dlogits)
-            if rnc_grad is not None:
-                demb = demb + beta * rnc_grad
-            enc_wg, enc_bg, _ = nn.backward(encoder, enc_tape, demb)
-            encoder, enc_state = nn.adam_step(encoder, enc_wg, enc_bg, enc_state,
+            losses, enc_grads, head_grads = train_step(encoder, head, views, ev2, t2,
+                                                       grid, cfg, step)
+            encoder, enc_state = nn.adam_step(encoder, *enc_grads, enc_state,
                                               cfg.lr, cfg.weight_decay)
-            head, head_state = nn.adam_step(head, head_wg, head_bg, head_state,
+            head, head_state = nn.adam_step(head, *head_grads, head_state,
                                             cfg.lr, cfg.weight_decay)
+            history.steps.append({"step": step, **dict(zip(_LOSS_KEYS, losses))})
 
-            history.steps.append({"step": step, "loss_prognosis": prog_value,
-                                  "loss_survrnc": rnc_value, "loss_total": total})
-
-        model = TrainedModel(encoder, head, cfg.head, grid,
-                             dataset.feature_names, cfg.deephit_sigma,
-                             cfg.deephit_rank_weight)
+        model = TrainedModel(encoder, head, grid, dataset.feature_names)
         val_risks, _ = _model_risks(model, val_features)
         try:
             val_ci = metrics.concordance_index(val_risks, val_events, val_times)
@@ -265,8 +272,7 @@ def train(dataset: Dataset, cfg: TrainConfig):
         records = history.steps[-steps_per_epoch:]
         history.epochs.append({
             "epoch": epoch,
-            **{key: float(np.mean([r[key] for r in records]))
-               for key in ("loss_prognosis", "loss_survrnc", "loss_total")},
+            **{key: float(np.mean([r[key] for r in records])) for key in _LOSS_KEYS},
             "val_ci": val_ci,
         })
 
@@ -334,11 +340,11 @@ def save_checkpoint(model: TrainedModel, cfg: TrainConfig, path) -> None:
         "version": CHECKPOINT_VERSION,
         "encoder": nn.params_to_dict(model.encoder),
         "head": nn.params_to_dict(model.head),
-        "head_kind": model.head_kind,
+        "head_kind": cfg.head,
         "grid": model.grid.cut_points.tolist(),
         "feature_names": list(model.feature_names),
-        "deephit_sigma": model.deephit_sigma,
-        "deephit_rank_weight": model.deephit_rank_weight,
+        "deephit_sigma": cfg.deephit_sigma,
+        "deephit_rank_weight": cfg.deephit_rank_weight,
         "train_config": cfg.to_dict(),
     }, path)
 
@@ -350,11 +356,8 @@ def load_checkpoint(path) -> TrainedModel:
     return TrainedModel(
         encoder=nn.params_from_dict(payload["encoder"]),
         head=nn.params_from_dict(payload["head"]),
-        head_kind=payload["head_kind"],
         grid=TimeGrid(np.array(payload["grid"], dtype=float)),
         feature_names=tuple(payload["feature_names"]),
-        deephit_sigma=payload["deephit_sigma"],
-        deephit_rank_weight=payload["deephit_rank_weight"],
     )
 
 

@@ -319,6 +319,29 @@ class TestFeatureNames:
         assert not out.exists()
 
 
+class TestDataFileErrors:
+    """A malformed data file ends the command with one error line and exit
+    status 2, not a traceback."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ("id,event,time,x1\na,1,3.0,0.5\nb,0,4.0,0.1\n",
+         "header must start with id,time,event; got ['id', 'event', 'time']"),
+        ("id,time,event,x1\na,-1,1,0.5\nb,4.0,0,0.1\n",
+         "NegativeTime(a): time must be finite and >= 0, got -1.0"),
+    ])
+    @pytest.mark.parametrize("command", ["pairsets", "train"])
+    def test_one_error_line(self, tmp_path, capsys, command, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(rows)
+        train_args = ["--seed", "0", "--out-dir", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(path),
+                  *(train_args if command == "train" else [])])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"survrnc: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 PINNED_PAIRSETS = """\
 a,p,a,b,c,d,e,f,g,h
 a,b,.,N,N,D,U,D,U,D

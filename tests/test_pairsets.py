@@ -199,6 +199,14 @@ def label_arrays(rows):
     return np.array([int(e) for e, _ in rows]), np.array([t for _, t in rows])
 
 
+def oracle_bounds(events, times):
+    """(lo, hi) of the scalar interval arithmetic, pair by pair."""
+    patients = [P(e, t) for e, t in zip(events, times)]
+    pairs = [[delta_interval(a, k) for k in patients] for a in patients]
+    return (np.array([[iv.lo for iv in row] for row in pairs]),
+            np.array([[iv.hi for iv in row] for row in pairs]))
+
+
 class TestBoundIdentity:
     """Each interval bound is the threshold or an extreme, bit for bit:
     lo is theta or 0 and hi is theta or inf. The loss kernel orders every
@@ -208,7 +216,9 @@ class TestBoundIdentity:
     @given(label_rows)
     @settings(max_examples=200)
     def test_bounds_are_theta_or_extreme(self, rows):
-        lo, hi, theta = delta_bound_matrices(*label_arrays(rows))
+        events, times = label_arrays(rows)
+        lo, hi = oracle_bounds(events, times)
+        theta = np.abs(times[:, None] - times)
         bits = np.uint64
         assert np.array_equal(np.where(lo == theta, theta, 0.0).view(bits),
                               lo.view(bits))
@@ -218,11 +228,17 @@ class TestBoundIdentity:
     @given(label_rows)
     @settings(max_examples=200)
     def test_exact_bounds_match_the_bound_matrices(self, rows):
+        # against the interval arithmetic of the oracle, since
+        # delta_bound_matrices is built from exact_bounds
         events, times = label_arrays(rows)
         lo, hi, theta = delta_bound_matrices(events, times)
+        want_lo, want_hi = oracle_bounds(events, times)
+        bits = np.uint64
+        assert np.array_equal(lo.view(bits), want_lo.view(bits))
+        assert np.array_equal(hi.view(bits), want_hi.view(bits))
         lo_exact, hi_exact = exact_bounds(events, times)
-        assert np.array_equal(lo_exact, lo == theta)
-        assert np.array_equal(hi_exact, hi == theta)
+        assert np.array_equal(lo_exact, want_lo == theta)
+        assert np.array_equal(hi_exact, want_hi == theta)
         # k = a: lo = 0 = theta always; hi = 0 only if uncensored
         assert lo_exact.diagonal().all()
         assert np.array_equal(hi_exact.diagonal(), events == 1)

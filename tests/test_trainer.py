@@ -9,20 +9,22 @@ import numpy as np
 import pytest
 
 import survrnc.loss as loss_mod
-from survrnc.core import Dataset, LossConfig
-from survrnc.data import AugmentConfig, SynthConfig, generate_synthetic
+from survrnc.core import Dataset, LossConfig, discretize_time
+from survrnc.data import AugmentConfig, SynthConfig, generate_synthetic, two_view_augment
 from survrnc.metrics import concordance_index
 from survrnc.trainer import (
     NonFiniteLossError,
     TrainConfig,
     evaluate,
     export_embeddings,
+    init_model,
     lambda_sweep,
     load_checkpoint,
     save_checkpoint,
     save_history,
     stratified_split,
     train,
+    train_step,
 )
 from survrnc import heads, metrics, nn, trainer
 
@@ -122,12 +124,61 @@ class TestTrain:
             train(small_dataset, dataclasses.replace(TINY_CFG, epochs=1))
         assert exc.value.step == 3
 
+    def test_starts_from_init_model(self, small_dataset):
+        # lr = 0: AdamW leaves every parameter as it was built
+        cfg = dataclasses.replace(TINY_CFG, epochs=1, lr=0.0)
+        model, _ = train(small_dataset, cfg)
+        built = init_model(cfg, len(small_dataset.feature_names), model.grid.num_bins)
+        for params, trained in zip(built, (model.encoder, model.head)):
+            assert params.spec == trained.spec
+            for a, b in zip(params.weights + params.biases,
+                            trained.weights + trained.biases):
+                assert a.tobytes() == b.tobytes()
+
     def test_best_epoch_consistent(self, small_dataset):
         _, history = train(small_dataset, TINY_CFG)
         cis = [rec["val_ci"] for rec in history.epochs]
         assert history.best_val_ci == max(cis)
         assert history.epochs[history.best_epoch - 1]["val_ci"] == history.best_val_ci
         assert history.final_val_ci == cis[-1]
+
+
+class TestTrainStep:
+    """The whole step against central differences of its total loss, at one
+    fixed two-view batch: each head's, the kernel's and the MLP's gradients
+    have their own tests, but not their composition, the head's input
+    gradient flowing into the encoder with beta times the contrastive one."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("head_kind", ["mtlr", "deephit"])
+    def test_gradients_match_finite_differences(self, head_kind, lam):
+        cfg = TrainConfig(head=head_kind, num_bins=4, hidden_widths=(6,), d_emb=3,
+                          activation="tanh",
+                          loss=LossConfig(temperature=2.0, lam=lam, beta=0.7))
+        rng = np.random.default_rng(5)
+        views, events, times = two_view_augment(
+            rng.normal(size=(8, 3)), np.array([1, 0, 1, 1, 0, 0, 1, 0]),
+            rng.integers(1, 6, 8), AugmentConfig(0.1, 0.1, 0))
+        grid = discretize_time(times, events, cfg.num_bins)
+        encoder, head = init_model(cfg, 3, grid.num_bins)
+
+        def step():
+            return train_step(encoder, head, views, events, times, grid, cfg, 1)
+
+        _, enc_grads, head_grads = step()
+        h = 1e-6
+        for params, (wg, bg) in ((encoder, enc_grads), (head, head_grads)):
+            for array, grad in zip(params.weights + params.biases, wg + bg):
+                fd = np.empty_like(array)
+                for i in np.ndindex(array.shape):
+                    saved = array[i]
+                    array[i] = saved + h
+                    up = step()[0][2]
+                    array[i] = saved - h
+                    down = step()[0][2]
+                    array[i] = saved
+                    fd[i] = (up - down) / (2 * h)
+                np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
 
 
 class TestPinnedTraining:
@@ -336,11 +387,15 @@ class TestLambdaSweep:
 
 class TestCheckpoint:
     def test_round_trip(self, small_dataset, tmp_path):
-        model, _ = train(small_dataset, TINY_CFG)
+        cfg = dataclasses.replace(TINY_CFG, head="deephit", deephit_sigma=0.2,
+                                  deephit_rank_weight=0.3)
+        model, _ = train(small_dataset, cfg)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(model, TINY_CFG, path)
+        save_checkpoint(model, cfg, path)
+        payload = json.loads(path.read_text())
+        assert (payload["head_kind"], payload["deephit_sigma"],
+                payload["deephit_rank_weight"]) == ("deephit", 0.2, 0.3)
         loaded = load_checkpoint(path)
-        assert loaded.head_kind == model.head_kind
         assert np.array_equal(loaded.grid.cut_points, model.grid.cut_points)
         for a, b in zip(model.encoder.weights, loaded.encoder.weights):
             assert np.array_equal(a, b)
