@@ -19,8 +19,8 @@ import numpy as np
 
 from . import pairsets as ps
 from . import trainer
-from .core import ValidationError
-from .data import (_RISK_MODELS, _SAMPLER_MODES, ParseError, SynthConfig,
+from .core import ConfigError, ValidationError
+from .data import (_RISK_MODELS, _SAMPLER_MODES, ParseError, SynthConfig, csv_cell,
                    generate_synthetic, load_csv, save_csv)
 from .trainer import TrainConfig
 
@@ -94,7 +94,7 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
                 node = node.setdefault(key, {})
             node[_FLAG_NAMES.get(name, name)] = value
     if raw.get("seed") is None:
-        raise SystemExit("error: --seed is required for training")
+        raise ConfigError("--seed is required for training")
     return TrainConfig.from_dict(raw)
 
 
@@ -135,9 +135,7 @@ def _cmd_evaluate(args) -> int:
     model = trainer.load_checkpoint(args.checkpoint)
     dataset = load_csv(args.data)
     report = trainer.evaluate(model, dataset)
-    payload = report.to_dict()
-    trainer._write_json(payload, args.out)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(trainer._write_json(report.to_dict(), args.out))
     return 0
 
 
@@ -151,7 +149,7 @@ def _cmd_export_embeddings(args) -> int:
 
 def _cmd_pairsets(args) -> int:
     dataset = load_csv(args.data)
-    ids = dataset.ids()
+    ids = [csv_cell(pid) for pid in dataset.ids()]
     n = len(ids)
     print("a,p," + ",".join(ids))
     # one anchor's (n, n) letters at a time: O(n^2) memory, not O(n^3)
@@ -231,7 +229,8 @@ def main(argv=None) -> int:
     trainer._settle_allocator()
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:  # a malformed data file
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ParseError,
+            ValidationError, ConfigError) as exc:  # a bad file or config
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

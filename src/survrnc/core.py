@@ -61,6 +61,10 @@ class ValidationError(ValueError):
         return {v.code for v in self.violations}
 
 
+class ConfigError(ValueError):
+    """Raised when a config is built with a key or value it cannot take."""
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Patients with one feature vector each, named by `feature_names`.
@@ -136,11 +140,11 @@ class LossConfig:
 
     def __post_init__(self):
         if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must be in [0, 1], got {self.lam}")
+            raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
         if not self.beta >= 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+            raise ConfigError(f"beta must be >= 0, got {self.beta}")
 
 
 class DegenerateTimesWarning(UserWarning):

@@ -1,4 +1,4 @@
-"""Synthetic censored-survival data and CSV ingestion; two-view
+"""Synthetic censored-survival data and the CSV table I/O; two-view
 augmentation and weighted batch sampling on plain arrays.
 
 The generator uses exponential event and censoring times because the
@@ -9,12 +9,13 @@ c / (c + rate(x)), which bisection can calibrate against the target.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, Patient
+from .core import ConfigError, Dataset, Patient
 
 _RISK_MODELS = ("linear", "quadratic")
 _SAMPLER_MODES = ("uniform", "event_balanced")
@@ -43,17 +44,17 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.n < 4:
-            raise ValueError(f"n must be >= 4, got {self.n}")
+            raise ConfigError(f"n must be >= 4, got {self.n}")
         if self.d_in < 1:
-            raise ValueError(f"d_in must be >= 1, got {self.d_in}")
+            raise ConfigError(f"d_in must be >= 1, got {self.d_in}")
         if self.risk_model not in _RISK_MODELS:
-            raise ValueError(f"risk_model must be one of {_RISK_MODELS}")
+            raise ConfigError(f"risk_model must be one of {_RISK_MODELS}")
         if self.risk_model == "quadratic" and self.d_in < 2:
-            raise ValueError("quadratic risk needs d_in >= 2")
+            raise ConfigError("quadratic risk needs d_in >= 2")
         if not self.base_rate > 0:
-            raise ValueError("base_rate must be positive")
+            raise ConfigError("base_rate must be positive")
         if not 0.0 <= self.target_censoring < 1.0:
-            raise ValueError("target_censoring must be in [0, 1)")
+            raise ConfigError("target_censoring must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,9 @@ class AugmentConfig:
 
     def __post_init__(self):
         if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+            raise ConfigError("noise_std must be >= 0")
         if not 0.0 <= self.feature_dropout_prob < 1.0:
-            raise ValueError("feature_dropout_prob must be in [0, 1)")
+            raise ConfigError("feature_dropout_prob must be in [0, 1)")
 
 
 def _expected_censoring(censor_rate: float, event_rates: np.ndarray) -> float:
@@ -163,15 +164,27 @@ def load_csv(path) -> Dataset:
     return Dataset(patients, feature_names)
 
 
+def write_table(path, names, ids, times, events, values) -> None:
+    """Write the `id,time,event,<names...>` table `load_csv` reads: events
+    as 0/1, the `times` and `values` arrays by repr (exact)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "time", "event", *names])
+        writer.writerows([pid, repr(t), int(e), *map(repr, row.tolist())]
+                         for pid, t, e, row in zip(ids, times.tolist(), events, values))
+
+
+def csv_cell(text: str) -> str:
+    """`text` as `write_table` writes it among the other fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # less the empty field's "," and the line end
+
+
 def save_csv(dataset: Dataset, path) -> None:
-    """Write the CSV schema consumed by `load_csv`; floats via repr (exact)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "time", "event", *dataset.feature_names])
-        for p in dataset.patients:
-            writer.writerow([p.id, repr(float(p.time)), int(p.event),
-                             *(repr(float(v)) for v in p.features)])
+    """Write `dataset` as the table `load_csv` reads."""
+    write_table(path, dataset.feature_names, dataset.ids(), dataset.times(),
+                dataset.events(), dataset.feature_matrix())
 
 
 def two_view_augment(features: np.ndarray, events: np.ndarray,

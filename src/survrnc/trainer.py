@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from . import heads, loss as loss_mod, metrics, nn
-from .core import Dataset, LossConfig, TimeGrid, discretize_time
-from .data import AugmentConfig, sample_batch, sampling_weights, two_view_augment
+from .core import ConfigError, Dataset, LossConfig, TimeGrid, discretize_time
+from .data import (_SAMPLER_MODES, AugmentConfig, sample_batch, sampling_weights,
+                   two_view_augment, write_table)
 
 _HEADS = ("mtlr", "deephit")
 _LOSS_KEYS = ("loss_prognosis", "loss_survrnc", "loss_total")
@@ -65,9 +66,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.num_bins < 1:
-            raise ValueError("epochs, batch_size and num_bins must be positive")
-        if self.head not in _HEADS:
-            raise ValueError(f"head must be one of {_HEADS}")
+            raise ConfigError("epochs, batch_size and num_bins must be positive")
+        for name, allowed in (("head", _HEADS), ("sampler", _SAMPLER_MODES),
+                              ("activation", nn._ACTIVATIONS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}")
         object.__setattr__(self, "hidden_widths",
                            tuple(int(w) for w in self.hidden_widths))
 
@@ -83,12 +86,12 @@ class TrainConfig:
         if "lambda" in loss_d:
             loss_d["lam"] = loss_d.pop("lambda")
         aug_d = dict(data.pop("augment", {}))
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = [prefix + key
+                   for prefix, given, kind in (("", data, cls), ("loss.", loss_d, LossConfig),
+                                               ("augment.", aug_d, AugmentConfig))
+                   for key in sorted(set(given) - {f.name for f in dataclasses.fields(kind)})]
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "hidden_widths" in data:
-            data["hidden_widths"] = tuple(data["hidden_widths"])
+            raise ConfigError(f"unknown config keys: {unknown}")
         return cls(loss=LossConfig(**loss_d), augment=AugmentConfig(**aug_d), **data)
 
 
@@ -300,17 +303,11 @@ def evaluate(model: TrainedModel, dataset: Dataset) -> metrics.EvalReport:
 
 
 def export_embeddings(model: TrainedModel, dataset: Dataset, path) -> None:
-    """Write one CSV row per patient: id, time, event, v_1..v_{d_emb}."""
+    """Write one `write_table` row per patient: id, time, event, v_1..v_{d_emb}."""
     _check_feature_names(model, dataset)
     emb, _ = nn.forward(model.encoder, dataset.feature_matrix())
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        cols = ["id", "time", "event"] + [f"v_{j + 1}" for j in range(emb.shape[1])]
-        fh.write(",".join(cols) + "\n")
-        for p, row in zip(dataset.patients, emb):
-            cells = [p.id, repr(float(p.time)), str(int(p.event))]
-            cells += [repr(float(v)) for v in row]
-            fh.write(",".join(cells) + "\n")
+    write_table(path, [f"v_{j + 1}" for j in range(emb.shape[1])], dataset.ids(),
+                dataset.times(), dataset.events(), emb)
 
 
 def lambda_sweep(dataset: Dataset, cfg: TrainConfig,
@@ -325,11 +322,12 @@ def lambda_sweep(dataset: Dataset, cfg: TrainConfig,
             for c in swept]
 
 
-def _write_json(payload: dict, path) -> None:
-    """The layout of every JSON file survrnc writes: sorted keys, two-space
-    indent, trailing newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+def _write_json(payload: dict, path) -> str:
+    """Write `payload` in the layout of every JSON file survrnc writes
+    (sorted keys, two-space indent, trailing newline); returns the text."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 CHECKPOINT_VERSION = 1
@@ -340,11 +338,8 @@ def save_checkpoint(model: TrainedModel, cfg: TrainConfig, path) -> None:
         "version": CHECKPOINT_VERSION,
         "encoder": nn.params_to_dict(model.encoder),
         "head": nn.params_to_dict(model.head),
-        "head_kind": cfg.head,
         "grid": model.grid.cut_points.tolist(),
         "feature_names": list(model.feature_names),
-        "deephit_sigma": cfg.deephit_sigma,
-        "deephit_rank_weight": cfg.deephit_rank_weight,
         "train_config": cfg.to_dict(),
     }, path)
 

@@ -1,6 +1,8 @@
 import argparse
+import csv
 import dataclasses
 import inspect
+import io
 import itertools
 import json
 import os
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import survrnc
-from survrnc import heads, pairsets, trainer
+from survrnc import heads, nn, pairsets, trainer
 from survrnc.cli import build_parser, main
 from survrnc.data import load_csv, save_csv, SynthConfig, generate_synthetic
 from survrnc.core import Dataset, Patient
@@ -93,7 +95,7 @@ class TestTrain:
         assert len(history["epochs"]) == 2
         assert history["config"]["seed"] == 7
         ckpt = json.loads((out_dir / "checkpoint.json").read_text())
-        assert ckpt["head_kind"] == "mtlr"
+        assert ckpt["train_config"]["head"] == "mtlr"
 
     def test_seed_is_mandatory(self, data_csv, config_json, tmp_path):
         with pytest.raises(SystemExit):
@@ -240,6 +242,17 @@ def trained_dir(data_csv, config_json, tmp_path_factory):
     return out_dir
 
 
+@pytest.fixture(scope="module")
+def quoted_ids_csv(data_csv, tmp_path_factory):
+    """`data_csv` with ids that the csv dialect has to quote."""
+    ds = load_csv(data_csv)
+    ids = ["a,b", 'say "hi"', "two\nlines", *ds.ids()[3:]]
+    path = tmp_path_factory.mktemp("quoted") / "quoted.csv"
+    save_csv(Dataset([Patient(pid, p.features, p.event, p.time)
+                      for pid, p in zip(ids, ds.patients)], ds.feature_names), path)
+    return path
+
+
 class TestEvaluateAndExport:
     @pytest.mark.parametrize("command", ["train", "evaluate", "export-embeddings"])
     def test_dataset_is_validated_once(self, command, trained_dir, data_csv,
@@ -277,6 +290,23 @@ class TestEvaluateAndExport:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 61
         assert lines[0].split(",")[:3] == ["id", "time", "event"]
+
+    def test_export_embeddings_reads_back(self, trained_dir, quoted_ids_csv, tmp_path):
+        ckpt = trained_dir / "checkpoint.json"
+        out = tmp_path / "emb.csv"
+        assert main(["export-embeddings", "--checkpoint", str(ckpt),
+                     "--data", str(quoted_ids_csv), "--out", str(out)]) == 0
+        dataset = load_csv(quoted_ids_csv)
+        emb, _ = nn.forward(trainer.load_checkpoint(ckpt).encoder, dataset.feature_matrix())
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {3 + emb.shape[1]}
+        assert [row[0] for row in rows[1:]] == dataset.ids()
+        back = load_csv(out)
+        assert back.ids() == dataset.ids()
+        assert np.array_equal(back.times(), dataset.times())
+        assert np.array_equal(back.events(), dataset.events())
+        assert np.array_equal(back.feature_matrix(), emb)
 
 
 class TestFeatureNames:
@@ -340,6 +370,73 @@ class TestDataFileErrors:
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"survrnc: error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+
+class TestInputErrors:
+    """A missing or unreadable file, or a config that cannot be built, ends
+    the command with one error line and exit status 2, and writes nothing."""
+
+    @pytest.fixture
+    def paths(self, data_csv, trained_dir, tmp_path):
+        configs = {"bad_json": "{bad", "zero_epochs": '{"epochs": 0}',
+                   "nested_key": '{"loss": {"bogus": 1}}',
+                   "sampler": '{"sampler": "foo"}'}
+        for name, text in configs.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        return {"data": str(data_csv), "ckpt": str(trained_dir / "checkpoint.json"),
+                "missing": str(tmp_path / "missing.csv"), "dir": str(tmp_path),
+                "out": str(tmp_path / "out"),
+                **{name: str(tmp_path / f"{name}.json") for name in configs}}
+
+    @pytest.mark.parametrize("argv, message", [
+        ("pairsets --data {missing}", "No such file or directory"),
+        ("pairsets --data {dir}", "Is a directory"),
+        ("train --data {missing} --seed 0 --out-dir {out}", "No such file or directory"),
+        ("train --data {data} --config {missing} --seed 0 --out-dir {out}",
+         "No such file or directory"),
+        ("train --data {data} --config {dir} --seed 0 --out-dir {out}", "Is a directory"),
+        ("evaluate --checkpoint {missing} --data {data} --out {out}",
+         "No such file or directory"),
+        ("evaluate --checkpoint {ckpt} --data {missing} --out {out}",
+         "No such file or directory"),
+        ("export-embeddings --checkpoint {missing} --data {data} --out {out}",
+         "No such file or directory"),
+        ("export-embeddings --checkpoint {data} --data {data} --out {out}",
+         "Expecting value"),
+        ("train --data {data} --config {bad_json} --seed 0 --out-dir {out}",
+         "Expecting property name"),
+        ("train --data {data} --config {zero_epochs} --seed 0 --out-dir {out}",
+         "epochs, batch_size and num_bins must be positive"),
+        ("train --data {data} --config {nested_key} --seed 0 --out-dir {out}",
+         "unknown config keys: ['loss.bogus']"),
+        ("train --data {data} --config {sampler} --seed 0 --out-dir {out}",
+         "sampler must be one of"),
+        ("train --data {data} --out-dir {out}", "--seed is required for training"),
+        ("lambda-sweep --data {data} --out {out}", "--seed is required for training"),
+        ("generate --n 2 --seed 0 --out {out}", "n must be >= 4"),
+    ])
+    def test_one_error_line(self, paths, capsys, monkeypatch, argv, message):
+        trained = []
+        monkeypatch.setattr(trainer, "train", lambda *a: trained.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(argv.format(**paths).split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("survrnc: error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert not Path(paths["out"]).exists()
+        assert trained == []
+
+    def test_internal_value_error_keeps_its_traceback(self, data_csv, tmp_path,
+                                                       monkeypatch):
+        def broken(dataset, cfg):
+            raise ValueError("a bug")
+        monkeypatch.setattr(trainer, "train", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["train", "--data", str(data_csv), "--seed", "0",
+                  "--out-dir", str(tmp_path / "out")])
 
 
 PINNED_PAIRSETS = """\
@@ -456,6 +553,18 @@ class TestPairsetsCommand:
         for line in out[1:3]:
             classes = line.split(",")[2:]
             assert all(c in {"N", "U", "D", "."} for c in classes)
+
+
+    def test_quoted_ids_parse(self, quoted_ids_csv, capsys):
+        ids = load_csv(quoted_ids_csv).ids()
+        n = len(ids)
+        assert main(["pairsets", "--data", str(quoted_ids_csv)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+        assert len(rows) == 1 + n * (n - 1)
+        assert {len(row) for row in rows} == {n + 2}
+        assert rows[0] == ["a", "p", *ids]
+        assert [row[:2] for row in rows[1:]] == [
+            [ids[a], ids[p]] for a, p in itertools.permutations(range(n), 2)]
 
 
 class TestLambdaSweepCommand:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from survrnc.core import ValidationError
+from survrnc.core import Dataset, Patient, ValidationError
 from survrnc.data import (
     AugmentConfig,
     ParseError,
@@ -69,14 +69,19 @@ class TestGenerateSynthetic:
 class TestCsvRoundTrip:
     def test_round_trip_equal(self, tmp_path):
         ds, _ = generate_synthetic(SynthConfig(n=25, d_in=3, seed=8))
-        path = tmp_path / "data.csv"
-        save_csv(ds, path)
-        loaded = load_csv(path)
-        assert loaded.ids() == ds.ids()
-        assert np.array_equal(loaded.times(), ds.times())
-        assert np.array_equal(loaded.events(), ds.events())
-        assert np.array_equal(loaded.feature_matrix(), ds.feature_matrix())
-        assert loaded.feature_names == ds.feature_names
+        # ids that the csv dialect has to quote
+        quoted = Dataset([Patient(pid, p.features, p.event, p.time) for pid, p in
+                          zip(["a,b", 'say "hi"', "two\nlines"], ds.patients)],
+                         ds.feature_names)
+        for dataset in (ds, quoted):
+            path = tmp_path / "data.csv"
+            save_csv(dataset, path)
+            loaded = load_csv(path)
+            assert loaded.ids() == dataset.ids()
+            assert np.array_equal(loaded.times(), dataset.times())
+            assert np.array_equal(loaded.events(), dataset.events())
+            assert np.array_equal(loaded.feature_matrix(), dataset.feature_matrix())
+            assert loaded.feature_names == dataset.feature_names
 
     def test_missing_event_column(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -3,13 +3,14 @@ import importlib
 import importlib.util
 import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import survrnc.loss as loss_mod
-from survrnc.core import Dataset, LossConfig, discretize_time
+from survrnc.core import ConfigError, Dataset, LossConfig, discretize_time
 from survrnc.data import AugmentConfig, SynthConfig, generate_synthetic, two_view_augment
 from survrnc.metrics import concordance_index
 from survrnc.trainer import (
@@ -393,8 +394,10 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, cfg, path)
         payload = json.loads(path.read_text())
-        assert (payload["head_kind"], payload["deephit_sigma"],
-                payload["deephit_rank_weight"]) == ("deephit", 0.2, 0.3)
+        stated = payload["train_config"]
+        assert (stated["head"], stated["deephit_sigma"],
+                stated["deephit_rank_weight"]) == ("deephit", 0.2, 0.3)
+        assert not {"head_kind", "deephit_sigma", "deephit_rank_weight"} & set(payload)
         loaded = load_checkpoint(path)
         assert np.array_equal(loaded.grid.cut_points, model.grid.cut_points)
         for a, b in zip(model.encoder.weights, loaded.encoder.weights):
@@ -402,6 +405,21 @@ class TestCheckpoint:
         a = evaluate(model, small_dataset).to_dict()
         b = evaluate(loaded, small_dataset).to_dict()
         assert a == b
+
+    def test_older_checkpoint_with_top_level_head_keys_loads(self, small_dataset,
+                                                             tmp_path):
+        # checkpoints once repeated these train_config values at the top level
+        cfg = dataclasses.replace(TINY_CFG, head="deephit")
+        model, _ = train(small_dataset, cfg)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, cfg, path)
+        payload = json.loads(path.read_text())
+        payload.update(head_kind="deephit", deephit_sigma=cfg.deephit_sigma,
+                       deephit_rank_weight=cfg.deephit_rank_weight)
+        path.write_text(json.dumps(payload))
+        loaded = load_checkpoint(path)
+        assert (evaluate(loaded, small_dataset).to_dict()
+                == evaluate(model, small_dataset).to_dict())
 
 
 class TestTrainConfigDict:
@@ -417,6 +435,23 @@ class TestTrainConfigDict:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig.from_dict({"nope": 1})
+
+    @pytest.mark.parametrize("data, keys", [
+        ({"loss": {"bogus": 1}}, ["loss.bogus"]),
+        ({"augment": {"noise": 0.1}, "zeta": 2}, ["zeta", "augment.noise"]),
+    ])
+    def test_unknown_nested_key_rejected(self, data, keys):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: {keys}")):
+            TrainConfig.from_dict(data)
+
+    @pytest.mark.parametrize("name, value", [("sampler", "foo"), ("activation", "gelu"),
+                                             ("head", "cox")])
+    def test_choice_checked_when_built(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be one of"):
+            TrainConfig.from_dict({name: value})
+
+    def test_hidden_widths_become_a_tuple(self):
+        assert TrainConfig.from_dict({"hidden_widths": [8, 4]}).hidden_widths == (8, 4)
 
 
 class TestHistorySerialization:
