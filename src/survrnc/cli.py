@@ -22,7 +22,7 @@ from . import trainer
 from .core import ConfigError, ValidationError
 from .data import (_RISK_MODELS, _SAMPLER_MODES, ParseError, SynthConfig, csv_cell,
                    generate_synthetic, load_csv, save_csv)
-from .trainer import TrainConfig
+from .trainer import CheckpointError, TrainConfig
 
 # The train and lambda-sweep flags come from the TrainConfig fields, with
 # LossConfig and AugmentConfig flattened into them: one flag per field,
@@ -85,14 +85,16 @@ def _add_generate_flags(parser: argparse.ArgumentParser):
 def _resolve_config(args: argparse.Namespace) -> TrainConfig:
     raw: dict = {}
     if args.config is not None:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        raw = trainer._json_object(
+            "config", json.loads(Path(args.config).read_text(encoding="utf-8")))
     for (*parents, name), _ in _config_fields():
         value = getattr(args, name)
         if value is not None:
             node = raw
             for key in parents:
                 node = node.setdefault(key, {})
-            node[_FLAG_NAMES.get(name, name)] = value
+            if isinstance(node, dict):  # else TrainConfig.from_dict names it
+                node[_FLAG_NAMES.get(name, name)] = value
     if raw.get("seed") is None:
         raise ConfigError("--seed is required for training")
     return TrainConfig.from_dict(raw)
@@ -230,7 +232,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, ParseError,
-            ValidationError, ConfigError) as exc:  # a bad file or config
+            ValidationError, ConfigError, CheckpointError) as exc:  # a bad file or config
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

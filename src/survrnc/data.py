@@ -164,11 +164,27 @@ def load_csv(path) -> Dataset:
     return Dataset(patients, feature_names)
 
 
+class _LineFeedRows:
+    """A text file taking `csv` rows written with "\r\n" line ends and
+    storing them with "\n". `csv` quotes a field that holds a character of
+    its line terminator, so a field holding a bare "\r" is quoted too."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, row: str) -> int:
+        return self._fh.write(row[:-2] + "\n")
+
+
+def _csv_writer(fh):
+    return csv.writer(_LineFeedRows(fh), lineterminator="\r\n")
+
+
 def write_table(path, names, ids, times, events, values) -> None:
     """Write the `id,time,event,<names...>` table `load_csv` reads: events
     as 0/1, the `times` and `values` arrays by repr (exact)."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _csv_writer(fh)
         writer.writerow(["id", "time", "event", *names])
         writer.writerows([pid, repr(t), int(e), *map(repr, row.tolist())]
                          for pid, t, e, row in zip(ids, times.tolist(), events, values))
@@ -177,7 +193,7 @@ def write_table(path, names, ids, times, events, values) -> None:
 def csv_cell(text: str) -> str:
     """`text` as `write_table` writes it among the other fields of a row."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    _csv_writer(buf).writerow([text, ""])
     return buf.getvalue()[:-2]  # less the empty field's "," and the line end
 
 

@@ -21,26 +21,36 @@ All three metrics are exact, sort-based and loop-free:
 - `embedding_ordinality` is Spearman's rho, computed as Pearson's
   correlation of the twice-centred average ranks of the P = m(m-1)/2
   embedding distances and |time differences| of m uncensored patients.
-  Both statistics are written in place into one condensed array each,
-  in row blocks of about 0.5 MB: the time differences by subtraction (equal
-  to a cityblock `pdist` bit for bit), the embedding distances squared,
-  by one GEMM per block with close pairs recomputed from their
-  difference (`core.sq_distance_blocks`). Squaring is monotone, so the
-  ranks are those of the distances; duplicated embeddings are exactly 0
-  apart, and embeddings on a common binary grid keep their exact ties.
-  Each statistic is ranked exactly, in int32, from one in-place sort of
-  packed uint64 keys (see `_ordered_ranks`), and the correlation is read
-  off exact integer dot products of the ranks: O(P log P) time, about 25
-  bytes per pair allocated at the peak. Above `ORDINALITY_MAX_PAIRS`
-  pairs (about 5,800 uncensored patients, ~0.5 GB) it ranks the pairs of
-  a fixed-seed subset of the uncensored patients instead (see
-  `ordinality_subset`), so memory stays bounded and the value repeats
-  exactly; `EvalReport` records the pairs used and whether the value is
-  exact.
+  Each statistic is written in place into one condensed array, in row
+  blocks of about 0.5 MB: the embedding distances squared, by one GEMM
+  per block with close pairs recomputed from their difference
+  (`core.sq_distance_blocks`), and the time differences by subtraction
+  (equal to a cityblock `pdist` bit for bit). Squaring is monotone, so
+  the ranks are those of the distances; duplicated embeddings are exactly
+  0 apart, and embeddings on a common binary grid keep their exact ties.
+  A statistic is ranked exactly from one in-place sort of packed uint64
+  keys (see `_ordered_ranks`), which yields its int32 sorting order and
+  its groups of ties. The distances are ranked first. Their array then
+  takes the time differences gathered in distance order, and those are
+  ranked in turn: the pair at time-sorted place j is the order[j]-th in
+  distance order, so no rank array is ever put back into pair order.
+  Without distance ties the k-th distance's rank is 2k + 1 - P and the
+  time ranks sum to 0, so the numerator sum(a b) is 2 sum_j order[j]
+  b_j; with distance ties each pair's distance rank is read at order[j]
+  instead. The sums of squared ranks follow from the tie group sizes.
+  Every sum is an exact Python int, so rho is rounded only by its two
+  square roots and one division. O(P log P) time; the peak RSS grows by
+  about 21 bytes per pair, 25 with heavy time ties. Above
+  `ORDINALITY_MAX_PAIRS` pairs (about 5,800 uncensored patients, ~0.4 GB)
+  it ranks the pairs of a fixed-seed subset of the uncensored patients
+  instead (see `ordinality_subset`), so memory stays bounded and the
+  value repeats exactly; `EvalReport` records the pairs used and whether
+  the value is exact.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -176,71 +186,131 @@ def ordinality_subset(events: np.ndarray) -> np.ndarray:
     return np.random.default_rng(0).permutation(uncensored)[:k]
 
 
-def _ordered_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, ranks), both int32: `order` sorts `x`, and ranks[k] is twice
-    the centred average rank of x[order[k]] (ties share their mean rank),
-    an integer in [-(n-1), n-1]. Consumes `x`, which must be float64,
-    non-negative or -0.0, and not NaN.
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The ranges [starts[g], ends[g]) one after another, as int32."""
+    size = ends - starts
+    out = np.arange(size.sum(), dtype=np.int32)
+    out += np.repeat((starts - np.cumsum(size) + size).astype(np.int32), size)
+    return out
+
+
+def _groups(linked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the maximal groups [s, e) of two or more entries
+    in which linked[i] joins entries i and i + 1."""
+    step = np.diff(linked.view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    return np.flatnonzero(step == 1), np.flatnonzero(step == -1) + 1
+
+
+def _gather(a: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a[index], taken in blocks: numpy copies an int32 index to intp
+    before it gathers, and a block's copy stays small. `out` may share
+    `index`'s memory."""
+    if out is None:
+        out = np.empty(index.size, dtype=a.dtype)
+    for i in range(0, index.size, _BLOCK_ENTRIES):
+        np.take(a, index[i:i + _BLOCK_ENTRIES], out=out[i:i + _BLOCK_ENTRIES])
+    return out
+
+
+def _ordered_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, starts, ends): the int32 `order` sorts `x`, and the sorted
+    positions [starts[g], ends[g]) hold the g-th group of two or more equal
+    values. Consumes `x`, which must be float64, non-negative or -0.0, and
+    not NaN. `_ranks` turns the groups into ranks.
 
     Such doubles order like their bit patterns. Each value's low
     w = bit_length(n - 1) bits are set aside and replaced by its index,
-    so one in-place sort of the uint64 keys yields the order. Entries whose
-    kept high bits collide are sorted among themselves by the set-aside
-    bits afterwards; exact ties need no re-sort.
+    so one in-place sort of the uint64 keys yields the order. Afterwards
+    only the runs of equal kept high bits are looked at: a run whose
+    set-aside bits are out of order is sorted among itself by them, and
+    its entries with equal set-aside bits are the ties.
     """
     n = x.size
     if not 0 < n < 2**31:
         raise ValueError(f"cannot rank {n} values in int32")
-    x += 0.0  # -0.0 would sort as the largest key
     key = x.view(np.uint64)
     w = (n - 1).bit_length()
     mask = (1 << w) - 1
     low = key.astype(np.uint32)  # keeps the low 32 >= w bits
     low &= mask
-    key >>= w
-    key <<= w
-    np.bitwise_or(key, np.arange(n, dtype=np.uint32), out=key)
+    key &= np.uint64(2**63 - 1 - mask)  # and the sign bit: -0.0 becomes 0.0
+    order = np.arange(n, dtype=np.uint32)
+    key |= order
     key.sort()
-    order = key.astype(np.uint32).view(np.int32)
+    np.copyto(order, key, casting="unsafe")  # the low 32 bits
     order &= mask
+    order = order.view(np.int32)
     key >>= w  # the sorted high bits
-    same = key[1:] == key[:-1]
-    # the set-aside bits in sorted order, where a run of equal high bits
-    # needs them
-    in_run = np.zeros(n, dtype=bool)
-    in_run[1:] = same
-    in_run[:-1] |= same
-    run_low = low[order[in_run]]
+    run_start, run_end = _groups(key[1:] == key[:-1])
+    # the runs' entries one after another: sorted positions and set-aside bits
+    pos = _ranges(run_start, run_end)
+    if low.any():
+        bits = _gather(order, pos)
+        bits = _gather(low, bits, out=bits.view(np.uint32))  # low[order[pos]]
+    else:  # integers, such as day-rounded times: nothing was set aside
+        bits = np.zeros(pos.size, dtype=np.uint32)
     del low
-    low = np.zeros(n, dtype=np.uint32)
-    low[in_run] = run_low
-    del in_run, run_low
+    size = run_end - run_start
+    bound = np.cumsum(size)  # where each run ends among `pos`
+    same_run = np.ones(max(0, pos.size - 1), dtype=bool)
+    same_run[bound[:-1] - 1] = False
     # re-sort each run whose set-aside bits are out of order
-    runs = np.unique(key[1:][same & (low[1:] < low[:-1])])
-    start = np.searchsorted(key, runs)
-    size = np.searchsorted(key, runs, side="right") - start
-    fix = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
-    resort = np.lexsort((low[fix], key[fix]))
-    order[fix] = order[fix][resort]
-    low[fix] = low[fix][resort]
-    tied = same & (low[1:] == low[:-1])
-    del low, same  # before the ranks, to keep the peak down
+    bad = np.searchsorted(bound, np.flatnonzero(same_run & (bits[1:] < bits[:-1])),
+                          side="right")
+    bad = bad[np.diff(bad, prepend=-1) != 0]  # sorted: each run once
+    fix = _ranges(bound[bad] - size[bad], bound[bad])
+    at = pos[fix]
+    resort = np.lexsort((bits[fix], key[at]))
+    order[at] = order[at][resort]
+    bits[fix] = bits[fix][resort]
+    starts, ends = _groups(same_run & (bits[1:] == bits[:-1]))
+    return order, pos[starts].astype(np.int64), pos[ends - 1].astype(np.int64) + 1
+
+
+def _trim_heap() -> None:
+    """Hand the free pages of the malloc heap back to the kernel (glibc's
+    `malloc_trim(0)`). Does nothing where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return
+    trim.argtypes = (ctypes.c_size_t,)
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
+def _ranks(n: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Twice the centred average ranks, int32 in [-(n-1), n-1], of n sorted
+    values whose ties are the groups [starts[g], ends[g]) of
+    `_ordered_ranks`."""
     # ties at sorted positions [s, e) have mean rank (s + 1 + e)/2 and the
     # overall mean rank is (n + 1)/2; an untied entry at k has s = k, e = k + 1
     ranks = np.arange(1 - n, n, 2, dtype=np.int32)
-    in_tie = np.r_[tied, False] | np.r_[False, tied]
-    starts = np.flatnonzero(in_tie & np.r_[True, ~tied])
-    ends = np.flatnonzero(in_tie & np.r_[~tied, True]) + 1
-    ranks[in_tie] = np.repeat((starts + ends - n).astype(np.int32), ends - starts)
-    return order, ranks
+    step = np.zeros(n + 1, dtype=np.int8)
+    step[starts] = 1
+    step[ends] -= 1
+    tied = np.cumsum(step[:-1], dtype=np.int8).view(bool)
+    ranks[tied] = np.repeat((starts + ends - n).astype(np.int32), ends - starts)
+    return ranks
 
 
-def _exact_dot(a: np.ndarray, b: np.ndarray) -> int:
-    """a @ b of two int32 rank arrays with entries in [-(n-1), n-1], n <=
+def _sum_sq_ranks(n: int, starts: np.ndarray, ends: np.ndarray) -> int:
+    """(_ranks(n, starts, ends) ** 2).sum() as an exact Python int, for n
+    <= `ORDINALITY_MAX_PAIRS`: n(n^2 - 1)/3 without ties, and a group of L
+    tied values takes L(L^2 - 1)/3 off it."""
+    size = ends - starts
+    small = size[size <= 2**16]  # the sum of their L^3 stays below 2^56
+    ties = int((small**3 - small).sum())
+    ties += sum(k**3 - k for k in size[size > 2**16].tolist())
+    return (n**3 - n - ties) // 3
+
+
+def _exact_dot(a: np.ndarray, b: np.ndarray, n: int) -> int:
+    """a @ b of two int32 arrays with entries in [-(n-1), n-1], n <=
     `ORDINALITY_MAX_PAIRS`, as an exact Python int. Summed over int64
     blocks small enough not to overflow, so no float64 copy of either
-    array is made: the ranks stay the largest arrays alive."""
-    block = max(1, 2**62 // max(1, a.size - 1) ** 2)
+    array is made."""
+    block = max(1, 2**62 // max(1, n - 1) ** 2)
     return sum(int(np.dot(a[i:i + block].astype(np.int64), b[i:i + block]))
                for i in range(0, a.size, block))
 
@@ -283,22 +353,33 @@ def embedding_ordinality(embeddings: np.ndarray, events: np.ndarray,
     idx = ordinality_subset(events)
     if not (np.isfinite(embeddings[idx]).all() and np.isfinite(times[idx]).all()):
         return math.nan
-    # each distance array is consumed by its ranking; the time ranks are
-    # put in pair order, then gathered in the embedding distances' order
     m = idx.size
+    n = m * (m - 1) // 2
     rows = max(1, _BLOCK_ENTRIES // m)
-    order, ranks = _ordered_ranks(_condensed(m, _time_difference_blocks(times[idx], rows)))
-    b = np.empty_like(ranks)
-    b[order] = ranks
-    del order, ranks  # before the second ranking, the peak
-    # squared distances: the ranks, and so rho, are those of the distances
-    order, a = _ordered_ranks(_condensed(m, sq_distance_blocks(embeddings[idx], rows)))
-    b = b[order]
+    # squared distances: their ranks, and so rho, are those of the distances
+    x = _condensed(m, sq_distance_blocks(embeddings[idx], rows))
+    order, a_starts, a_ends = _ordered_ranks(x)
+    # glibc keeps up to 64 MiB of freed heap (`trainer._settle_allocator`):
+    # hand the ranking's temporaries back before two more P-sized arrays
+    _trim_heap()
+    # x, consumed by the ranking, takes the time differences in distance order
+    _gather(_condensed(m, _time_difference_blocks(times[idx], rows)), order, out=x)
     del order
-    scale = math.sqrt(_exact_dot(a, a)) * math.sqrt(_exact_dot(b, b))
+    order, b_starts, b_ends = _ordered_ranks(x)
+    del x
+    b = _ranks(n, b_starts, b_ends)
+    # The pair at time-sorted place j is the order[j]-th in distance order.
+    # With a_k and b_k the ranks of the k-th pair in distance order, sum(b)
+    # is 0, so while every a_k is 2k + 1 - n, sum(a b) = 2 sum(k b_k).
+    if a_starts.size:  # distance ties: read each pair's a_k instead
+        sab = _exact_dot(_gather(_ranks(n, a_starts, a_ends), order), b, n)
+    else:
+        sab = 2 * _exact_dot(order, b, n)
+    scale = (math.sqrt(_sum_sq_ranks(n, a_starts, a_ends))
+             * math.sqrt(_sum_sq_ranks(n, b_starts, b_ends)))
     if scale == 0.0:
         return math.nan
-    return max(-1.0, min(1.0, _exact_dot(a, b) / scale))
+    return max(-1.0, min(1.0, sab / scale))
 
 
 def horizon_from_fraction(times: np.ndarray, fraction: float) -> float:

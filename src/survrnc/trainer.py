@@ -13,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -35,6 +36,10 @@ class NonFiniteLossError(RuntimeError):
     def __init__(self, step: int, what: str):
         self.step = step
         super().__init__(f"non-finite {what} at step {step}")
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file of another version, or with a key missing or malformed."""
 
 
 class FeatureMismatchError(ValueError):
@@ -81,18 +86,55 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        data = dict(data)
-        loss_d = dict(data.pop("loss", {}))
+        data = dict(_json_object("config", data))
+        loss_d = dict(_json_object("config key loss", data.pop("loss", {})))
         if "lambda" in loss_d:
             loss_d["lam"] = loss_d.pop("lambda")
-        aug_d = dict(data.pop("augment", {}))
-        unknown = [prefix + key
-                   for prefix, given, kind in (("", data, cls), ("loss.", loss_d, LossConfig),
-                                               ("augment.", aug_d, AugmentConfig))
+        aug_d = dict(_json_object("config key augment", data.pop("augment", {})))
+        parts = (("", data, cls), ("loss.", loss_d, LossConfig),
+                 ("augment.", aug_d, AugmentConfig))
+        unknown = [prefix + key for prefix, given, kind in parts
                    for key in sorted(set(given) - {f.name for f in dataclasses.fields(kind)})]
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
+        for prefix, given, kind in parts:
+            hints = typing.get_type_hints(kind)
+            for key, value in given.items():
+                _check_json_type(prefix + ("lambda" if key == "lam" else key),
+                                 value, hints[key])
         return cls(loss=LossConfig(**loss_d), augment=AugmentConfig(**aug_d), **data)
+
+
+# what each field type takes from JSON, and its name in an error (a JSON
+# true or false is a bool, which Python counts as an int)
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               str: (str, "a string")}
+
+
+def _json_kind(value) -> str:
+    return {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+            type(None): "null", int: "an integer",
+            float: "a number"}.get(type(value), type(value).__name__)
+
+
+def _json_object(what: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {_json_kind(value)}")
+    return value
+
+
+def _check_json_type(key: str, value, kind) -> None:
+    """Raise `ConfigError` unless the JSON `value` can set a field of type
+    `kind` (int, float, str or tuple[int, ...])."""
+    if kind == tuple[int, ...]:
+        ok = isinstance(value, (list, tuple)) and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value)
+        want = "an array of integers"
+    else:
+        types, want = _JSON_TYPES[kind]
+        ok = isinstance(value, types) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(f"config key {key} must be {want}, got {_json_kind(value)}")
 
 
 @dataclass
@@ -345,15 +387,23 @@ def save_checkpoint(model: TrainedModel, cfg: TrainConfig, path) -> None:
 
 
 def load_checkpoint(path) -> TrainedModel:
+    """The model `save_checkpoint` wrote to `path`. Raises `CheckpointError`
+    for a file of another version or with a key missing or malformed."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-    return TrainedModel(
-        encoder=nn.params_from_dict(payload["encoder"]),
-        head=nn.params_from_dict(payload["head"]),
-        grid=TimeGrid(np.array(payload["grid"], dtype=float)),
-        feature_names=tuple(payload["feature_names"]),
-    )
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        return TrainedModel(
+            encoder=nn.params_from_dict(payload["encoder"]),
+            head=nn.params_from_dict(payload["head"]),
+            grid=TimeGrid(np.array(payload["grid"], dtype=float)),
+            feature_names=tuple(payload["feature_names"]),
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: checkpoint has no key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
 
 
 def save_history(history: TrainHistory, cfg: TrainConfig, path) -> None:

@@ -14,9 +14,10 @@ sets; `classification_tensor` codes every (anchor, positive, member)
 triple of a batch from `pair_set_masks`. `loop_concordance_index` (one
 pass per event), `matrix_auc` (the cases x controls comparison matrices)
 and `spearman_ordinality` (`scipy.stats.spearmanr` over all uncensored
-pairs) are the O(n^2) metrics; `centred_ranks` ranks one pair statistic
-with an `argsort`, the reference for the packed-key ranks inside
-`embedding_ordinality`. None is fast; each is a direct transcription of
+pairs) are the O(n^2) metrics; `exact_ordinality` forms rho from Python
+int rank sums, so `embedding_ordinality` must equal it bit for bit;
+`centred_ranks` ranks one pair statistic with an `argsort`, the reference
+for the packed-key ranks inside `embedding_ordinality`. None is fast; each is a direct transcription of
 the definition.
 """
 
@@ -38,6 +39,7 @@ from survrnc.metrics import (
     NoComparablePairsError,
     TooFewUncensoredError,
     UndefinedAtHorizonError,
+    ordinality_subset,
 )
 from survrnc.pairsets import pair_set_masks
 
@@ -305,6 +307,23 @@ def spearman_ordinality(embeddings, events, times) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstantInputWarning)
         return float(spearmanr(emb_dist, time_dist).statistic)
+
+
+def exact_ordinality(embeddings, events, times) -> float:
+    """Spearman's rho of squared embedding distances vs |time differences|
+    over the pairs of `ordinality_subset`, from the Python-int sums of
+    the `centred_ranks` products and squares; NaN for a constant
+    statistic. Integer-grid or duplicated embeddings keep their exact
+    distance ties here as in `embedding_ordinality`."""
+    idx = ordinality_subset(events)
+    emb = np.asarray(embeddings, dtype=float)[idx]
+    pairs = np.triu_indices(idx.size, 1)
+    a = [int(r) for r in centred_ranks(direct_sq_distances(emb)[pairs])]
+    b = [int(r) for r in centred_ranks(time_differences(np.asarray(times, float)[idx]))]
+    scale = (math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(y * y for y in b)))
+    if scale == 0.0:
+        return math.nan
+    return max(-1.0, min(1.0, sum(x * y for x, y in zip(a, b)) / scale))
 
 
 def centred_ranks(x: np.ndarray) -> np.ndarray:

@@ -246,7 +246,7 @@ def trained_dir(data_csv, config_json, tmp_path_factory):
 def quoted_ids_csv(data_csv, tmp_path_factory):
     """`data_csv` with ids that the csv dialect has to quote."""
     ds = load_csv(data_csv)
-    ids = ["a,b", 'say "hi"', "two\nlines", *ds.ids()[3:]]
+    ids = ["a,b", 'say "hi"', "two\nlines", "a\rb", *ds.ids()[4:]]
     path = tmp_path_factory.mktemp("quoted") / "quoted.csv"
     save_csv(Dataset([Patient(pid, p.features, p.event, p.time)
                       for pid, p in zip(ids, ds.patients)], ds.feature_names), path)
@@ -378,12 +378,20 @@ class TestInputErrors:
 
     @pytest.fixture
     def paths(self, data_csv, trained_dir, tmp_path):
+        ckpt = trained_dir / "checkpoint.json"
+        payload = json.loads(ckpt.read_text())
+        no_encoder = {k: v for k, v in payload.items() if k != "encoder"}
         configs = {"bad_json": "{bad", "zero_epochs": '{"epochs": 0}',
                    "nested_key": '{"loss": {"bogus": 1}}',
-                   "sampler": '{"sampler": "foo"}'}
+                   "sampler": '{"sampler": "foo"}', "str_epochs": '{"epochs": "3"}',
+                   "top_list": "[1]", "null_loss": '{"loss": null}',
+                   "str_widths": '{"hidden_widths": "64"}',
+                   "version_2": json.dumps({**payload, "version": 2}),
+                   "no_encoder": json.dumps(no_encoder),
+                   "bad_grid": json.dumps({**payload, "grid": [3.0, 1.0]})}
         for name, text in configs.items():
             (tmp_path / f"{name}.json").write_text(text)
-        return {"data": str(data_csv), "ckpt": str(trained_dir / "checkpoint.json"),
+        return {"data": str(data_csv), "ckpt": str(ckpt),
                 "missing": str(tmp_path / "missing.csv"), "dir": str(tmp_path),
                 "out": str(tmp_path / "out"),
                 **{name: str(tmp_path / f"{name}.json") for name in configs}}
@@ -411,6 +419,22 @@ class TestInputErrors:
          "unknown config keys: ['loss.bogus']"),
         ("train --data {data} --config {sampler} --seed 0 --out-dir {out}",
          "sampler must be one of"),
+        ("train --data {data} --config {str_epochs} --seed 0 --out-dir {out}",
+         "config key epochs must be an integer, got a string"),
+        ("train --data {data} --config {top_list} --seed 0 --out-dir {out}",
+         "config must be a JSON object, got an array"),
+        ("train --data {data} --config {null_loss} --seed 0 --out-dir {out}",
+         "config key loss must be a JSON object, got null"),
+        ("train --data {data} --config {null_loss} --lambda 0.3 --seed 0 --out-dir {out}",
+         "config key loss must be a JSON object, got null"),
+        ("lambda-sweep --data {data} --config {str_widths} --seed 0 --out {out}",
+         "config key hidden_widths must be an array of integers, got a string"),
+        ("evaluate --checkpoint {version_2} --data {data} --out {out}",
+         "unsupported checkpoint version 2"),
+        ("evaluate --checkpoint {no_encoder} --data {data} --out {out}",
+         "checkpoint has no key 'encoder'"),
+        ("export-embeddings --checkpoint {bad_grid} --data {data} --out {out}",
+         "malformed checkpoint: cut points must be strictly increasing"),
         ("train --data {data} --out-dir {out}", "--seed is required for training"),
         ("lambda-sweep --data {data} --out {out}", "--seed is required for training"),
         ("generate --n 2 --seed 0 --out {out}", "n must be >= 4"),

@@ -71,7 +71,7 @@ class TestCsvRoundTrip:
         ds, _ = generate_synthetic(SynthConfig(n=25, d_in=3, seed=8))
         # ids that the csv dialect has to quote
         quoted = Dataset([Patient(pid, p.features, p.event, p.time) for pid, p in
-                          zip(["a,b", 'say "hi"', "two\nlines"], ds.patients)],
+                          zip(["a,b", 'say "hi"', "two\nlines", "a\rb"], ds.patients)],
                          ds.feature_names)
         for dataset in (ds, quoted):
             path = tmp_path / "data.csv"

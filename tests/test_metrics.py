@@ -24,6 +24,7 @@ from survrnc.metrics import (
 from oracles import (
     centred_ranks,
     direct_sq_distances,
+    exact_ordinality,
     loop_concordance_index,
     matrix_auc,
     spearman_ordinality,
@@ -318,7 +319,7 @@ class TestExactDot:
         rng = np.random.default_rng(n)
         a, b = rng.integers(1 - n, n, (2, n), dtype=np.int32)
         want = sum(int(x) * int(y) for x, y in zip(a, b))
-        assert metrics._exact_dot(a, b) == want
+        assert metrics._exact_dot(a, b, n) == want
 
     @pytest.mark.parametrize("n", [2, 5000, 2**21 + 3])
     def test_extreme_entries_over_several_blocks(self, n):
@@ -326,26 +327,37 @@ class TestExactDot:
         # spans three int64 blocks and is not exact in float64
         signs = np.random.default_rng(n).choice(np.array([-1, 1], np.int32), n)
         a = signs * np.int32(n - 1)
-        assert metrics._exact_dot(a, a) == n * (n - 1) ** 2
-        assert metrics._exact_dot(a, -a) == -n * (n - 1) ** 2
+        assert metrics._exact_dot(a, a, n) == n * (n - 1) ** 2
+        assert metrics._exact_dot(a, -a, n) == -n * (n - 1) ** 2
 
 
 class TestOrderedRanks:
     @given(pair_statistics())
     @settings(max_examples=300, deadline=None)
     def test_equals_argsort_oracle(self, x):
-        order, ranks = metrics._ordered_ranks(x.copy())
+        order, starts, ends = metrics._ordered_ranks(x.copy())
+        ranks = metrics._ranks(x.size, starts, ends)
         assert order.dtype == ranks.dtype == np.int32
         np.testing.assert_array_equal(np.sort(order), np.arange(x.size))
         assert (x[order][1:] >= x[order][:-1]).all()
         got = np.empty(x.size)
         got[order] = ranks
         np.testing.assert_array_equal(got, centred_ranks(x.copy()))
+        assert (metrics._sum_sq_ranks(x.size, starts, ends)
+                == sum(int(r) ** 2 for r in ranks))
 
     def test_negative_zero_ties_with_zero(self):
-        order, ranks = metrics._ordered_ranks(np.array([-0.0, 1.0, 0.0, -0.0]))
+        order, starts, ends = metrics._ordered_ranks(np.array([-0.0, 1.0, 0.0, -0.0]))
         assert sorted(order[:3]) == [0, 2, 3]
-        np.testing.assert_array_equal(ranks, [-1, -1, -1, 3])
+        np.testing.assert_array_equal(metrics._ranks(4, starts, ends), [-1, -1, -1, 3])
+
+    @pytest.mark.parametrize("starts, ends", [([0], [2**17 + 5]), ([1], [2**17 + 5]),
+                                              ([3, 2**16], [2**16, 2**17])])
+    def test_sum_sq_ranks_of_groups_above_2_16(self, starts, ends):
+        n = 2**17 + 5
+        starts, ends = np.array(starts), np.array(ends)
+        ranks = metrics._ranks(n, starts, ends).astype(np.int64)
+        assert metrics._sum_sq_ranks(n, starts, ends) == int((ranks**2).sum())
 
     def test_widths_hold_the_pair_cap(self):
         # dropped low bits are stored as uint32; orders and ranks in
@@ -356,6 +368,49 @@ class TestOrderedRanks:
     def test_too_many_values_raise(self):
         with pytest.raises(ValueError, match="int32"):
             metrics._ordered_ranks(types.SimpleNamespace(size=2**31))
+
+
+def grid_cohort(m, seed, days=False, dup=False):
+    """Embeddings on a coarse integer grid, or on a fine binary grid with
+    the first half of the rows repeated, so that pair distances tie
+    exactly, by any summation order; day-rounded times tie too."""
+    rng = np.random.default_rng(seed)
+    emb = rng.integers(-2, 3, (m, 3)).astype(float)
+    if dup:
+        emb = rng.integers(-400, 400, (m, 4)) / 64
+        emb[m // 2:] = emb[:m - m // 2]
+    times = rng.exponential(1.0, m)
+    times = np.ceil(365 * times) if days else times
+    events = (rng.random(m) < 0.7).astype(int)
+    events[:3] = 1
+    return emb, events, times
+
+
+class TestOrdinalityExact:
+    """`embedding_ordinality` forms rho from the same three exact integers
+    as the Python-int oracle, so the two are equal, not just close."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("days, dup", [(True, False), (False, False),
+                                           (False, True), (True, True)])
+    def test_equals_exact_oracle_with_ties(self, seed, days, dup):
+        emb, events, times = grid_cohort(150, seed, days, dup)
+        assert embedding_ordinality(emb, events, times) == exact_ordinality(emb, events, times)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_exact_oracle_with_continuous_embeddings(self, seed):
+        rng = np.random.default_rng(seed)
+        emb = rng.standard_normal((150, 8))
+        times = np.ceil(365 * rng.exponential(1.0, 150))
+        events = np.ones(150, dtype=int)
+        assert embedding_ordinality(emb, events, times) == exact_ordinality(emb, events, times)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_capped_subset_equals_exact_oracle(self, seed, monkeypatch):
+        monkeypatch.setattr(metrics, "ORDINALITY_MAX_PAIRS", 1000)
+        emb, events, times = grid_cohort(300, seed, days=True)
+        assert ordinality_subset(events).size < int(events.sum())
+        assert embedding_ordinality(emb, events, times) == exact_ordinality(emb, events, times)
 
 
 ORDINALITY_PEAK_PER_PAIR = """

@@ -421,6 +421,18 @@ class TestCheckpoint:
         assert (evaluate(loaded, small_dataset).to_dict()
                 == evaluate(model, small_dataset).to_dict())
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"version": 2}', "unsupported checkpoint version 2"),
+        ("[1]", "unsupported checkpoint version None"),
+        ('{"version": 1, "head": {}}', "checkpoint has no key 'encoder'"),
+        ('{"version": 1, "encoder": [], "head": {}}', "malformed checkpoint"),
+    ])
+    def test_bad_checkpoint_raises_checkpoint_error(self, tmp_path, text, message):
+        path = tmp_path / "ckpt.json"
+        path.write_text(text)
+        with pytest.raises(trainer.CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+
 
 class TestTrainConfigDict:
     def test_round_trip(self):
@@ -449,6 +461,29 @@ class TestTrainConfigDict:
     def test_choice_checked_when_built(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be one of"):
             TrainConfig.from_dict({name: value})
+
+    @pytest.mark.parametrize("data, message", [
+        ([1], "config must be a JSON object, got an array"),
+        ({"loss": None}, "config key loss must be a JSON object, got null"),
+        ({"augment": [0.1]}, "config key augment must be a JSON object, got an array"),
+        ({"epochs": "3"}, "config key epochs must be an integer, got a string"),
+        ({"epochs": 3.0}, "config key epochs must be an integer, got a number"),
+        ({"epochs": True}, "config key epochs must be an integer, got a boolean"),
+        ({"lr": None}, "config key lr must be a number, got null"),
+        ({"head": 1}, "config key head must be a string, got an integer"),
+        ({"loss": {"lambda": "0.5"}}, "config key loss.lambda must be a number, got a string"),
+        ({"augment": {"seed": 1.5}}, "config key augment.seed must be an integer, got a number"),
+        ({"hidden_widths": [8, "4"]},
+         "config key hidden_widths must be an array of integers, got an array"),
+    ])
+    def test_wrong_json_type_rejected(self, data, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            TrainConfig.from_dict(data)
+
+    def test_round_trips_through_to_dict(self):
+        cfg = TrainConfig(hidden_widths=(8, 4), loss=LossConfig(lam=0.25), seed=3)
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_hidden_widths_become_a_tuple(self):
         assert TrainConfig.from_dict({"hidden_widths": [8, 4]}).hidden_widths == (8, 4)
