@@ -28,7 +28,7 @@ from .trainer import CheckpointError, TrainConfig
 # LossConfig and AugmentConfig flattened into them: one flag per field,
 # spelled as the field with dashes and routed to the same place in the
 # config. The exceptions:
-_FLAG_NAMES = {"lam": "lambda"}  # also the field's key in a config file
+_FLAG_NAMES = trainer._JSON_KEYS  # a field's key in a config file
 _FLAG_CHOICES = {"head": trainer._HEADS, "sampler": _SAMPLER_MODES,
                  "risk_model": _RISK_MODELS}
 _NO_FLAG = {("activation",), ("augment", "seed")}

@@ -1,5 +1,6 @@
-"""Domain types, time-grid discretization, and the pairwise distances the
-loss and the metrics share.
+"""Domain types, time-grid discretization, the pairwise distances the loss
+and the metrics share, and the loader of the C library calls that tune
+the allocator.
 
 A `Dataset` is valid by construction: building one checks every patient
 and raises a single `ValidationError` listing each violation, so the
@@ -9,6 +10,7 @@ is immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass
@@ -261,3 +263,15 @@ def sq_distance_blocks(v: np.ndarray, rows: int) -> Iterator[np.ndarray]:
             diff = v[start + i] - v[start + j]
             out.ravel()[close] = np.einsum("ij,ij->i", diff, diff)
         yield out
+
+
+def _libc_function(name: str, *argtypes):
+    """The C library's function `name`, taking `argtypes` and returning a C
+    int, or None where there is no C library or it has no such function."""
+    try:
+        function = getattr(ctypes.CDLL(None), name)
+    except (OSError, AttributeError, TypeError):
+        return None
+    function.argtypes = argtypes
+    function.restype = ctypes.c_int
+    return function

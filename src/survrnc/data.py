@@ -9,7 +9,6 @@ c / (c + rate(x)), which bisection can calibrate against the target.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -164,37 +163,23 @@ def load_csv(path) -> Dataset:
     return Dataset(patients, feature_names)
 
 
-class _LineFeedRows:
-    """A text file taking `csv` rows written with "\r\n" line ends and
-    storing them with "\n". `csv` quotes a field that holds a character of
-    its line terminator, so a field holding a bare "\r" is quoted too."""
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def write(self, row: str) -> int:
-        return self._fh.write(row[:-2] + "\n")
-
-
-def _csv_writer(fh):
-    return csv.writer(_LineFeedRows(fh), lineterminator="\r\n")
+def csv_cell(text: str) -> str:
+    """`text` as a field of a `write_table` row: quoted, its quotes doubled,
+    when it holds a comma, a quote, CR or LF, and unchanged otherwise."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_table(path, names, ids, times, events, values) -> None:
-    """Write the `id,time,event,<names...>` table `load_csv` reads: events
-    as 0/1, the `times` and `values` arrays by repr (exact)."""
+    """Write the `id,time,event,<names...>` table `load_csv` reads, lines
+    ending in "\n": ids and names by `csv_cell`, events as 0/1, the `times`
+    and `values` arrays by repr (exact), one row converted at a time."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = _csv_writer(fh)
-        writer.writerow(["id", "time", "event", *names])
-        writer.writerows([pid, repr(t), int(e), *map(repr, row.tolist())]
-                         for pid, t, e, row in zip(ids, times.tolist(), events, values))
-
-
-def csv_cell(text: str) -> str:
-    """`text` as `write_table` writes it among the other fields of a row."""
-    buf = io.StringIO()
-    _csv_writer(buf).writerow([text, ""])
-    return buf.getvalue()[:-2]  # less the empty field's "," and the line end
+        fh.write(",".join(map(csv_cell, ["id", "time", "event", *names])) + "\n")
+        for pid, t, e, row in zip(ids, times.tolist(), events, values):
+            cells = [csv_cell(pid), repr(t), str(int(e)), *map(repr, row.tolist())]
+            fh.write(",".join(cells) + "\n")
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -75,21 +75,16 @@ def _likelihood(logits: np.ndarray, events: np.ndarray, times: np.ndarray,
     logp, pmf = _softmax(logits)
     n, width = pmf.shape
     start = np.asarray(grid.bin_index(np.asarray(times, dtype=float)))
-    rows = np.arange(n)
-    tail_mask = np.arange(width)[None, :] >= start[:, None]
-    uncensored = events == 1
-
-    # log of the consistent-tail mass, computed in log space
-    shifted = np.where(tail_mask, logp, -np.inf)
+    bins = np.arange(width)[None, :]
+    # the bins a row's likelihood holds: its event bin if uncensored, else
+    # every censoring-consistent bin; ll is the log of their mass, and each
+    # held bin's share of it, exp(logp - ll), is taken in log space too
+    held = np.where((events == 1)[:, None], bins == start[:, None],
+                    bins >= start[:, None])
+    shifted = np.where(held, logp, -np.inf)
     m = shifted.max(axis=1)
-    cens_ll = m + np.log(np.exp(shifted - m[:, None]).sum(axis=1))
-    ll = np.where(uncensored, logp[rows, start], cens_ll)
-
-    tail_mass = np.where(tail_mask, pmf, 0.0).sum(axis=1)
-    grad_uncens = pmf.copy()
-    grad_uncens[rows, start] -= 1.0
-    grad_cens = pmf * (1.0 - tail_mask / tail_mass[:, None])
-    grad = np.where(uncensored[:, None], grad_uncens, grad_cens)
+    ll = m + np.log(np.exp(shifted - m[:, None]).sum(axis=1))
+    grad = pmf - np.exp(shifted - ll[:, None])
     return float(-ll.mean()), grad / n, pmf, start
 
 

@@ -57,7 +57,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import sq_distance_blocks
+from .core import _libc_function, sq_distance_blocks
 
 DEFAULT_HORIZON_FRACTIONS = (0.25, 0.5, 0.75)
 # largest number of uncensored pairs `embedding_ordinality` ranks; below
@@ -270,13 +270,9 @@ def _ordered_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _trim_heap() -> None:
     """Hand the free pages of the malloc heap back to the kernel (glibc's
     `malloc_trim(0)`). Does nothing where the C library has none."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError, TypeError):
-        return
-    trim.argtypes = (ctypes.c_size_t,)
-    trim.restype = ctypes.c_int
-    trim(0)
+    trim = _libc_function("malloc_trim", ctypes.c_size_t)
+    if trim is not None:
+        trim(0)
 
 
 def _ranks(n: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

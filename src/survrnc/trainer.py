@@ -21,13 +21,16 @@ from typing import Sequence
 import numpy as np
 
 from . import heads, loss as loss_mod, metrics, nn
-from .core import ConfigError, Dataset, LossConfig, TimeGrid, discretize_time
+from .core import (ConfigError, Dataset, LossConfig, TimeGrid, _libc_function,
+                   discretize_time)
 from .data import (_SAMPLER_MODES, AugmentConfig, sample_batch, sampling_weights,
                    two_view_augment, write_table)
 
 _HEADS = ("mtlr", "deephit")
 _LOSS_KEYS = ("loss_prognosis", "loss_survrnc", "loss_total")
 VAL_FRACTION = 0.2
+# a config field's key in a config file, where it differs from the field name
+_JSON_KEYS = {"lam": "lambda"}
 
 
 class NonFiniteLossError(RuntimeError):
@@ -78,31 +81,41 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be one of {allowed}")
         object.__setattr__(self, "hidden_widths",
                            tuple(int(w) for w in self.hidden_widths))
+        if min((*self.hidden_widths, self.d_emb)) < 1:
+            raise ConfigError("hidden_widths and d_emb must be positive")
+        for name in ("lr", "deephit_sigma"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("weight_decay", "deephit_rank_weight"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)
-        data["loss"]["lambda"] = data["loss"].pop("lam")
+        data["loss"] = {_JSON_KEYS.get(k, k): v for k, v in data["loss"].items()}
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         data = dict(_json_object("config", data))
-        loss_d = dict(_json_object("config key loss", data.pop("loss", {})))
-        if "lambda" in loss_d:
-            loss_d["lam"] = loss_d.pop("lambda")
-        aug_d = dict(_json_object("config key augment", data.pop("augment", {})))
-        parts = (("", data, cls), ("loss.", loss_d, LossConfig),
-                 ("augment.", aug_d, AugmentConfig))
-        unknown = [prefix + key for prefix, given, kind in parts
-                   for key in sorted(set(given) - {f.name for f in dataclasses.fields(kind)})]
+        parts = [("", data, cls)] + [
+            (f"{key}.", _json_object(f"config key {key}", data.pop(key, {})), kind)
+            for key, kind in (("loss", LossConfig), ("augment", AugmentConfig))]
+        # keys are read under their names in a config file: {key: (field, type)}
+        fields = [{_JSON_KEYS.get(name, name): (name, hint)
+                   for name, hint in typing.get_type_hints(kind).items()}
+                  for _, _, kind in parts]
+        unknown = [prefix + key for (prefix, given, _), known in zip(parts, fields)
+                   for key in sorted(set(given) - set(known))]
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        for prefix, given, kind in parts:
-            hints = typing.get_type_hints(kind)
+        kwargs = []
+        for (prefix, given, _), known in zip(parts, fields):
             for key, value in given.items():
-                _check_json_type(prefix + ("lambda" if key == "lam" else key),
-                                 value, hints[key])
-        return cls(loss=LossConfig(**loss_d), augment=AugmentConfig(**aug_d), **data)
+                _check_json_type(prefix + key, value, known[key][1])
+            kwargs.append({known[key][0]: value for key, value in given.items()})
+        top, loss_d, aug_d = kwargs
+        return cls(loss=LossConfig(**loss_d), augment=AugmentConfig(**aug_d), **top)
 
 
 # what each field type takes from JSON, and its name in an error (a JSON
@@ -208,15 +221,11 @@ def _settle_allocator() -> None:
     `train` calls it first, and the CLI before any command. Does nothing
     where the C library has no `mallopt`.
     """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3
-    mallopt(m_mmap_threshold, 32 << 20)
-    mallopt(m_trim_threshold, 64 << 20)
+    mallopt = _libc_function("mallopt", ctypes.c_int, ctypes.c_int)
+    if mallopt is not None:
+        m_trim_threshold, m_mmap_threshold = -1, -3
+        mallopt(m_mmap_threshold, 32 << 20)
+        mallopt(m_trim_threshold, 64 << 20)
 
 
 def init_model(cfg: TrainConfig, d_in: int, num_bins: int):

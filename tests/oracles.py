@@ -17,13 +17,16 @@ and `spearman_ordinality` (`scipy.stats.spearmanr` over all uncensored
 pairs) are the O(n^2) metrics; `exact_ordinality` forms rho from Python
 int rank sums, so `embedding_ordinality` must equal it bit for bit;
 `centred_ranks` ranks one pair statistic with an `argsort`, the reference
-for the packed-key ranks inside `embedding_ordinality`. None is fast; each is a direct transcription of
-the definition.
+for the packed-key ranks inside `embedding_ordinality`. `csv_writer_cell`
+quotes a field with Python's `csv.writer`, the reference for `csv_cell`.
+None is fast; each is a direct transcription of the definition.
 """
 
 from __future__ import annotations
 
+import csv
 import enum
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -339,3 +342,11 @@ def centred_ranks(x: np.ndarray) -> np.ndarray:
     ranks = np.empty(n)
     ranks[order] = np.repeat(2 * starts + counts - n, counts)
     return ranks
+
+
+def csv_writer_cell(text: str) -> str:
+    """`text` as `csv.writer` (minimal quoting, "\r\n" line ends) writes it
+    as the first of two fields of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+    return buf.getvalue()[:-3]  # less the "," before the empty field and the line end

@@ -386,6 +386,11 @@ class TestInputErrors:
                    "sampler": '{"sampler": "foo"}', "str_epochs": '{"epochs": "3"}',
                    "top_list": "[1]", "null_loss": '{"loss": null}',
                    "str_widths": '{"hidden_widths": "64"}',
+                   "zero_width": '{"hidden_widths": [0]}', "zero_emb": '{"d_emb": 0}',
+                   "negative_lr": '{"lr": -1}', "negative_decay": '{"weight_decay": -1}',
+                   "zero_sigma": '{"head": "deephit", "deephit_sigma": 0}',
+                   "negative_rank": '{"deephit_rank_weight": -1}',
+                   "lam_key": '{"loss": {"lam": 0.3}}',
                    "version_2": json.dumps({**payload, "version": 2}),
                    "no_encoder": json.dumps(no_encoder),
                    "bad_grid": json.dumps({**payload, "grid": [3.0, 1.0]})}
@@ -429,6 +434,20 @@ class TestInputErrors:
          "config key loss must be a JSON object, got null"),
         ("lambda-sweep --data {data} --config {str_widths} --seed 0 --out {out}",
          "config key hidden_widths must be an array of integers, got a string"),
+        ("train --data {data} --config {zero_width} --seed 0 --out-dir {out}",
+         "hidden_widths and d_emb must be positive"),
+        ("train --data {data} --config {zero_emb} --seed 0 --out-dir {out}",
+         "hidden_widths and d_emb must be positive"),
+        ("train --data {data} --config {negative_lr} --seed 0 --out-dir {out}",
+         "lr must be > 0, got -1"),
+        ("train --data {data} --config {negative_decay} --seed 0 --out-dir {out}",
+         "weight_decay must be >= 0, got -1"),
+        ("train --data {data} --config {zero_sigma} --seed 0 --out-dir {out}",
+         "deephit_sigma must be > 0, got 0"),
+        ("lambda-sweep --data {data} --config {negative_rank} --seed 0 --out {out}",
+         "deephit_rank_weight must be >= 0, got -1"),
+        ("train --data {data} --config {lam_key} --seed 0 --out-dir {out}",
+         "unknown config keys: ['loss.lam']"),
         ("evaluate --checkpoint {version_2} --data {data} --out {out}",
          "unsupported checkpoint version 2"),
         ("evaluate --checkpoint {no_encoder} --data {data} --out {out}",

@@ -1,11 +1,15 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from survrnc.core import Dataset, Patient, ValidationError
 from survrnc.data import (
     AugmentConfig,
     ParseError,
     SynthConfig,
+    csv_cell,
     generate_synthetic,
     load_csv,
     sample_batch,
@@ -14,6 +18,8 @@ from survrnc.data import (
     two_view_augment,
 )
 from survrnc.metrics import concordance_index
+
+from oracles import csv_writer_cell
 
 
 class TestGenerateSynthetic:
@@ -69,10 +75,10 @@ class TestGenerateSynthetic:
 class TestCsvRoundTrip:
     def test_round_trip_equal(self, tmp_path):
         ds, _ = generate_synthetic(SynthConfig(n=25, d_in=3, seed=8))
-        # ids that the csv dialect has to quote
+        # ids and a feature name that the csv dialect has to quote
         quoted = Dataset([Patient(pid, p.features, p.event, p.time) for pid, p in
                           zip(["a,b", 'say "hi"', "two\nlines", "a\rb"], ds.patients)],
-                         ds.feature_names)
+                         ("x,1", *ds.feature_names[1:]))
         for dataset in (ds, quoted):
             path = tmp_path / "data.csv"
             save_csv(dataset, path)
@@ -82,6 +88,16 @@ class TestCsvRoundTrip:
             assert np.array_equal(loaded.events(), dataset.events())
             assert np.array_equal(loaded.feature_matrix(), dataset.feature_matrix())
             assert loaded.feature_names == dataset.feature_names
+
+    @pytest.mark.parametrize("text", ["", " x ", "\t", '"', ",", "a,b", 'say "hi"',
+                                      "two\nlines", "a\rb", "\r", "\n", "é"])
+    def test_cell_quoted_as_csv_writer_quotes(self, text):
+        assert csv_cell(text) == csv_writer_cell(text)
+
+    @given(st.text(string.printable + "é ") | st.text())
+    @settings(max_examples=500, deadline=None)
+    def test_any_cell_quoted_as_csv_writer_quotes(self, text):
+        assert csv_cell(text) == csv_writer_cell(text)
 
     def test_missing_event_column(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -123,6 +123,17 @@ class TestMtlrLoss:
         with pytest.raises(BinWidthMismatchError):
             loss(logits, [1], [1.0], GRID3)
 
+    @pytest.mark.parametrize("loss_and_grad", [mtlr_loss_and_grad, deephit_loss_and_grad])
+    @pytest.mark.parametrize("gap", [745.0, 800.0])
+    def test_censored_gradient_at_large_logit_gap(self, loss_and_grad, gap):
+        # one row censored in the third bin, its mass all in the first: the
+        # pmf of the held bins, exp(-gap), is subnormal (745) or 0 (800)
+        def row(g):
+            return loss_and_grad(np.array([[g, 0.0, 0.0, 0.0]]), [0], [2.5], GRID3)[1][0]
+        got, limit = row(gap), row(700.0)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - limit).max() <= 1e-12
+
     def test_grad_matches_central_differences(self):
         rng = np.random.default_rng(4)
         logits = rng.standard_normal((5, 4))
@@ -209,8 +220,8 @@ class TestPinned:
         assert grad.tolist() == [
             [-0.21144129367895945, 0.008603610316530052, 0.03002955067704671,
              0.17280813268538267],
-            [0.018000165396041767, -0.013250366789742335, -0.0029565564638206437,
-             -0.0017932421424787857],
+            [0.018000165396041767, -0.013250366789742313, -0.0029565564638206407,
+             -0.0017932421424787758],
             [0.0941152473430407, -0.15588475265695928, 0.004685722253926394,
              0.05708378305999215],
             [0.06069536062584693, 0.047269594384210904, 0.12849207945323024,
@@ -223,8 +234,8 @@ class TestPinned:
         assert grad.tolist() == [
             [-0.5311185389721904, 0.021611374304867967, 0.07543110810606769,
              0.4340760565612547],
-            [0.04763174493090788, -0.03506290510579235, -0.007823591631524646,
-             -0.004745248193590882],
+            [0.04763174493090788, -0.035062905105792325, -0.007823591631524643,
+             -0.004745248193590871],
             [0.3627219218171153, -0.34789734095153196, -0.0011245657240409003,
              -0.013700015141542385],
             [0.23234676923652378, 0.03278773519384105, -0.0136914375314163,

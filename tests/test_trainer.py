@@ -125,12 +125,20 @@ class TestTrain:
             train(small_dataset, dataclasses.replace(TINY_CFG, epochs=1))
         assert exc.value.step == 3
 
-    def test_starts_from_init_model(self, small_dataset):
-        # lr = 0: AdamW leaves every parameter as it was built
-        cfg = dataclasses.replace(TINY_CFG, epochs=1, lr=0.0)
+    def test_starts_from_init_model(self, small_dataset, monkeypatch):
+        # the parameters the first step sees are the ones `init_model` builds
+        first = []
+
+        def step(encoder, head, *args):
+            if not first:
+                first.extend((encoder, head))
+            return train_step(encoder, head, *args)
+
+        monkeypatch.setattr(trainer, "train_step", step)
+        cfg = dataclasses.replace(TINY_CFG, epochs=1)
         model, _ = train(small_dataset, cfg)
         built = init_model(cfg, len(small_dataset.feature_names), model.grid.num_bins)
-        for params, trained in zip(built, (model.encoder, model.head)):
+        for params, trained in zip(built, first):
             assert params.spec == trained.spec
             for a, b in zip(params.weights + params.biases,
                             trained.weights + trained.biases):
@@ -451,6 +459,7 @@ class TestTrainConfigDict:
     @pytest.mark.parametrize("data, keys", [
         ({"loss": {"bogus": 1}}, ["loss.bogus"]),
         ({"augment": {"noise": 0.1}, "zeta": 2}, ["zeta", "augment.noise"]),
+        ({"loss": {"lam": 0.3, "lambda": 0.7}}, ["loss.lam"]),
     ])
     def test_unknown_nested_key_rejected(self, data, keys):
         with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: {keys}")):
@@ -479,6 +488,25 @@ class TestTrainConfigDict:
     def test_wrong_json_type_rejected(self, data, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             TrainConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"hidden_widths": [0]}, "hidden_widths and d_emb must be positive"),
+        ({"hidden_widths": [8, 0, 4]}, "hidden_widths and d_emb must be positive"),
+        ({"d_emb": 0}, "hidden_widths and d_emb must be positive"),
+        ({"lr": 0}, "lr must be > 0, got 0"),
+        ({"lr": -1}, "lr must be > 0, got -1"),
+        ({"weight_decay": -1}, "weight_decay must be >= 0, got -1"),
+        ({"head": "deephit", "deephit_sigma": 0}, "deephit_sigma must be > 0, got 0"),
+        ({"deephit_rank_weight": -1}, "deephit_rank_weight must be >= 0, got -1"),
+    ])
+    def test_value_out_of_bounds_rejected(self, data, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            TrainConfig.from_dict(data)
+
+    def test_bounds_are_inclusive_where_zero_is_allowed(self):
+        cfg = TrainConfig.from_dict({"hidden_widths": [], "weight_decay": 0,
+                                     "deephit_rank_weight": 0})
+        assert (cfg.hidden_widths, cfg.weight_decay, cfg.deephit_rank_weight) == ((), 0, 0)
 
     def test_round_trips_through_to_dict(self):
         cfg = TrainConfig(hidden_widths=(8, 4), loss=LossConfig(lam=0.25), seed=3)
