@@ -135,15 +135,16 @@ def load_csv(path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ParseError("empty file") from None
+        # the fixed names may carry spaces; ids and feature names are kept
+        # as written, as `write_table` writes them
         if len(header) < 3 or [h.strip() for h in header[:3]] != ["id", "time", "event"]:
             raise ParseError(f"header must start with id,time,event; got {header[:3]}")
-        feature_names = tuple(h.strip() for h in header[3:])
+        feature_names = tuple(header[3:])
         patients = []
         for row_num, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(
                     f"expected {len(header)} fields, got {len(row)}", row=row_num)
-            pid = row[0].strip()
             try:
                 time = float(row[1])
             except ValueError:
@@ -159,7 +160,7 @@ def load_csv(path) -> Dataset:
                     features[j] = float(cell)
                 except ValueError:
                     raise ParseError(f"bad value {cell!r}", row=row_num, col=name) from None
-            patients.append(Patient(pid, features, event, time))
+            patients.append(Patient(row[0], features, event, time))
     return Dataset(patients, feature_names)
 
 

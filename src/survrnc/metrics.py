@@ -21,27 +21,29 @@ All three metrics are exact, sort-based and loop-free:
 - `embedding_ordinality` is Spearman's rho, computed as Pearson's
   correlation of the twice-centred average ranks of the P = m(m-1)/2
   embedding distances and |time differences| of m uncensored patients.
-  Each statistic is written in place into one condensed array, in row
-  blocks of about 0.5 MB: the embedding distances squared, by one GEMM
-  per block with close pairs recomputed from their difference
-  (`core.sq_distance_blocks`), and the time differences by subtraction
-  (equal to a cityblock `pdist` bit for bit). Squaring is monotone, so
-  the ranks are those of the distances; duplicated embeddings are exactly
-  0 apart, and embeddings on a common binary grid keep their exact ties.
-  A statistic is ranked exactly from one in-place sort of packed uint64
-  keys (see `_ordered_ranks`), which yields its int32 sorting order and
-  its groups of ties. The distances are ranked first. Their array then
-  takes the time differences gathered in distance order, and those are
-  ranked in turn: the pair at time-sorted place j is the order[j]-th in
-  distance order, so no rank array is ever put back into pair order.
-  Without distance ties the k-th distance's rank is 2k + 1 - P and the
-  time ranks sum to 0, so the numerator sum(a b) is 2 sum_j order[j]
-  b_j; with distance ties each pair's distance rank is read at order[j]
-  instead. The sums of squared ranks follow from the tie group sizes.
-  Every sum is an exact Python int, so rho is rounded only by its two
-  square roots and one division. O(P log P) time; the peak RSS grows by
-  about 21 bytes per pair, 25 with heavy time ties. Above
-  `ORDINALITY_MAX_PAIRS` pairs (about 5,800 uncensored patients, ~0.4 GB)
+  The squared embedding distances are written into one condensed array,
+  in row blocks of about 0.5 MB, by one GEMM per block with close pairs
+  recomputed from their difference (`core.sq_distance_blocks`). Squaring
+  is monotone, so the ranks are those of the distances; duplicated
+  embeddings are exactly 0 apart, and embeddings on a common binary grid
+  keep their exact ties. A statistic is ranked exactly from one in-place
+  sort of packed uint64 keys (see `_ordered_ranks`), which yields its
+  int32 sorting order and its groups of ties. The distances are ranked
+  first. Their array then takes the time differences in distance order,
+  computed a block at a time from the m times at the pairs' condensed
+  positions (`_time_differences`, equal to a cityblock `pdist` bit for
+  bit), and those are ranked in turn: the pair at time-sorted place j is
+  the order[j]-th in distance order, so no rank array is ever put back
+  into pair order. Without distance ties the k-th distance's rank is
+  2k + 1 - P and the time ranks sum to 0, so the numerator sum(a b) is
+  2 sum_j order[j] b_j; with distance ties each pair's distance rank is
+  read at order[j] instead. The sums of squared ranks follow from the
+  tie group sizes. Every sum is an exact Python int, so rho is rounded
+  only by its two square roots and one division. O(P log P) time; no
+  stage holds more than 13 bytes per pair (the 8-byte keys, a 4-byte
+  order and 1-byte run flags), and the peak RSS grows by about 14.5
+  bytes per pair, with or without time ties (m = 2,000). Above
+  `ORDINALITY_MAX_PAIRS` pairs (about 5,800 uncensored patients, ~0.25 GB)
   it ranks the pairs of a fixed-seed subset of the uncensored patients
   instead (see `ordinality_subset`), so memory stays bounded and the
   value repeats exactly; `EvalReport` records the pairs used and whether
@@ -50,21 +52,20 @@ All three metrics are exact, sort-based and loop-free:
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import _libc_function, sq_distance_blocks
+from .core import sq_distance_blocks
 
 DEFAULT_HORIZON_FRACTIONS = (0.25, 0.5, 0.75)
 # largest number of uncensored pairs `embedding_ordinality` ranks; below
 # 2**31, so pair indices and ranks fit in int32 and the dropped low bits
 # of a packed key in uint32
 ORDINALITY_MAX_PAIRS = 2**24
-# entries per row block of a condensed pair statistic: 0.5 MB temporaries
+# entries per block of a pass over a pair statistic: 0.5 MB temporaries
 # that the next block reuses, whatever the number of patients
 _BLOCK_ENTRIES = 2**16
 
@@ -194,99 +195,125 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return out
 
 
-def _groups(linked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends) of the maximal groups [s, e) of two or more entries
-    in which linked[i] joins entries i and i + 1."""
-    step = np.diff(linked.view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    return np.flatnonzero(step == 1), np.flatnonzero(step == -1) + 1
-
-
-def _gather(a: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a[index], taken in blocks: numpy copies an int32 index to intp
-    before it gathers, and a block's copy stays small. `out` may share
-    `index`'s memory."""
-    if out is None:
-        out = np.empty(index.size, dtype=a.dtype)
-    for i in range(0, index.size, _BLOCK_ENTRIES):
-        np.take(a, index[i:i + _BLOCK_ENTRIES], out=out[i:i + _BLOCK_ENTRIES])
+def _linked(key: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
+    """out[k] = whether key[k] and key[k + 1] agree above their low w bits,
+    for k < out.size; in blocks."""
+    for i in range(0, out.size, _BLOCK_ENTRIES):
+        e = min(i + _BLOCK_ENTRIES, out.size)
+        np.less(key[i:e] ^ key[i + 1:e + 1], np.uint64(1 << w), out=out[i:e])
     return out
+
+
+def _groups(linked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends), int32, of the maximal groups [s, e) of two or more
+    entries in which linked[k] joins entries k and k + 1; in blocks."""
+    starts, ends = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    for i in range(0, linked.size, _BLOCK_ENTRIES):
+        e = min(i + _BLOCK_ENTRIES, linked.size)
+        # step[k] compares linked[i + k] with linked[i + k - 1], False outside
+        step = np.diff(linked[i:e].view(np.int8), prepend=np.int8(i and linked[i - 1]),
+                       append=np.int8(e < linked.size and linked[e]))
+        starts.append((i + np.flatnonzero(step[:-1] == 1)).astype(np.int32))
+        ends.append((i + 2 + np.flatnonzero(step[1:] == -1)).astype(np.int32))
+    return np.concatenate(starts), np.concatenate(ends)
+
+
+def _chunks(starts: np.ndarray, ends: np.ndarray, entries: int) -> Iterator[slice]:
+    """Consecutive slices of the groups [starts[g], ends[g]) that hold at
+    most `entries` entries each, or one larger group alone."""
+    bound = np.cumsum(ends - starts, dtype=np.int32)
+    g = 0
+    while g < bound.size:
+        done = int(bound[g - 1]) if g else 0
+        h = max(g + 1, int(np.searchsorted(bound, done + entries, side="right")))
+        yield slice(g, h)
+        g = h
 
 
 def _ordered_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(order, starts, ends): the int32 `order` sorts `x`, and the sorted
-    positions [starts[g], ends[g]) hold the g-th group of two or more equal
-    values. Consumes `x`, which must be float64, non-negative or -0.0, and
-    not NaN. `_ranks` turns the groups into ranks.
+    positions [starts[g], ends[g]) (int32) hold the g-th group of two or
+    more equal values. Consumes `x`, which must be float64, non-negative
+    or -0.0, and not NaN. `_ranks` turns the groups into ranks.
 
     Such doubles order like their bit patterns. Each value's low
-    w = bit_length(n - 1) bits are set aside and replaced by its index,
-    so one in-place sort of the uint64 keys yields the order. Afterwards
-    only the runs of equal kept high bits are looked at: a run whose
-    set-aside bits are out of order is sorted among itself by them, and
-    its entries with equal set-aside bits are the ties.
+    w = bit_length(n - 1) bits are set aside (in `low`, uint32) and
+    replaced by its index, so one in-place sort of the uint64 keys yields
+    the order up to runs of equal kept high bits. When any bit was set
+    aside, each run is sorted once more by (set-aside bits, index), which
+    go into the keys' own buffer: in place for a run alone, or a block
+    of small runs at a time with the run's number above them; the
+    entries of a run with equal set-aside bits are the ties. Otherwise
+    (integers, such as day-rounded times) the runs are the ties. The
+    order, the keys' low w bits, is then written over `low`. Besides `x`
+    this holds 5 bytes per value, the int32 bounds of the runs and ties,
+    and blocks of 0.5 MB.
     """
     n = x.size
     if not 0 < n < 2**31:
         raise ValueError(f"cannot rank {n} values in int32")
     key = x.view(np.uint64)
     w = (n - 1).bit_length()
-    mask = (1 << w) - 1
+    mask = np.uint64((1 << w) - 1)
     low = key.astype(np.uint32)  # keeps the low 32 >= w bits
-    low &= mask
-    key &= np.uint64(2**63 - 1 - mask)  # and the sign bit: -0.0 becomes 0.0
-    order = np.arange(n, dtype=np.uint32)
-    key |= order
+    low &= np.uint32(mask)
+    high = np.uint64(2**63 - 1) ^ mask  # and not the sign bit: -0.0 becomes 0.0
+    for i in range(0, n, _BLOCK_ENTRIES):
+        block = key[i:i + _BLOCK_ENTRIES]
+        block &= high
+        block |= np.arange(i, i + block.size, dtype=np.uint64)
     key.sort()
-    np.copyto(order, key, casting="unsafe")  # the low 32 bits
-    order &= mask
-    order = order.view(np.int32)
-    key >>= w  # the sorted high bits
-    run_start, run_end = _groups(key[1:] == key[:-1])
-    # the runs' entries one after another: sorted positions and set-aside bits
-    pos = _ranges(run_start, run_end)
+    linked = _linked(key, w, np.empty(n - 1, dtype=bool))
+    starts, ends = _groups(linked)  # the runs
     if low.any():
-        bits = _gather(order, pos)
-        bits = _gather(low, bits, out=bits.view(np.uint32))  # low[order[pos]]
-    else:  # integers, such as day-rounded times: nothing was set aside
-        bits = np.zeros(pos.size, dtype=np.uint32)
-    del low
-    size = run_end - run_start
-    bound = np.cumsum(size)  # where each run ends among `pos`
-    same_run = np.ones(max(0, pos.size - 1), dtype=bool)
-    same_run[bound[:-1] - 1] = False
-    # re-sort each run whose set-aside bits are out of order
-    bad = np.searchsorted(bound, np.flatnonzero(same_run & (bits[1:] < bits[:-1])),
-                          side="right")
-    bad = bad[np.diff(bad, prepend=-1) != 0]  # sorted: each run once
-    fix = _ranges(bound[bad] - size[bad], bound[bad])
-    at = pos[fix]
-    resort = np.lexsort((bits[fix], key[at]))
-    order[at] = order[at][resort]
-    bits[fix] = bits[fix][resort]
-    starts, ends = _groups(same_run & (bits[1:] == bits[:-1]))
-    return order, pos[starts].astype(np.int64), pos[ends - 1].astype(np.int64) + 1
-
-
-def _trim_heap() -> None:
-    """Hand the free pages of the malloc heap back to the kernel (glibc's
-    `malloc_trim(0)`). Does nothing where the C library has none."""
-    trim = _libc_function("malloc_trim", ctypes.c_size_t)
-    if trim is not None:
-        trim(0)
+        ties = [(np.empty(0, np.int32), np.empty(0, np.int32))]
+        # a block holds fewer than 2^(64 - 2w) runs, so that a run's number
+        # fits above its entries' set-aside bits and index
+        for c in _chunks(starts, ends, min(_BLOCK_ENTRIES, 2**(64 - 2 * w))):
+            if c.stop - c.start == 1:  # one run [s, e): re-sorted in place
+                s, e = int(starts[c.start]), int(ends[c.start])
+                run = key[s:e]
+                for i in range(0, run.size, _BLOCK_ENTRIES):
+                    block = run[i:i + _BLOCK_ENTRIES]
+                    index = block & mask
+                    block[...] = low[index.view(np.int64)]
+                    block <<= np.uint64(w)
+                    block |= index
+                run.sort()
+                run_starts, run_ends = _groups(_linked(run, w, linked[s:e - 1]))
+                ties.append((run_starts + s, run_ends + s))
+            else:  # several runs, one copy of their entries
+                pos = _ranges(starts[c], ends[c])
+                index = key[pos] & mask
+                block = np.repeat(np.arange(c.stop - c.start, dtype=np.uint64),
+                                  ends[c] - starts[c])
+                block <<= np.uint64(w)
+                block |= low[index.view(np.int64)]
+                block <<= np.uint64(w)
+                block |= index
+                block.sort()
+                key[pos] = block
+                run_starts, run_ends = _groups(_linked(block, w, np.empty(block.size - 1, bool)))
+                ties.append((pos[run_starts], pos[run_ends - 1] + 1))
+        starts, ends = (np.concatenate(t) for t in zip(*ties))
+    del linked
+    np.bitwise_and(key, mask, out=low, casting="unsafe")
+    return low.view(np.int32), starts, ends
 
 
 def _ranks(n: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Twice the centred average ranks, int32 in [-(n-1), n-1], of n sorted
     values whose ties are the groups [starts[g], ends[g]) of
-    `_ordered_ranks`."""
+    `_ordered_ranks`, n <= `ORDINALITY_MAX_PAIRS`."""
     # ties at sorted positions [s, e) have mean rank (s + 1 + e)/2 and the
     # overall mean rank is (n + 1)/2; an untied entry at k has s = k, e = k + 1
     ranks = np.arange(1 - n, n, 2, dtype=np.int32)
-    step = np.zeros(n + 1, dtype=np.int8)
-    step[starts] = 1
-    step[ends] -= 1
-    tied = np.cumsum(step[:-1], dtype=np.int8).view(bool)
-    ranks[tied] = np.repeat((starts + ends - n).astype(np.int32), ends - starts)
+    for c in _chunks(starts, ends, _BLOCK_ENTRIES):
+        s, e = starts[c], ends[c]
+        if c.stop - c.start == 1:
+            ranks[s[0]:e[0]] = s[0] + e[0] - n
+        else:
+            ranks[_ranges(s, e)] = np.repeat(s + e - n, e - s)
     return ranks
 
 
@@ -294,7 +321,7 @@ def _sum_sq_ranks(n: int, starts: np.ndarray, ends: np.ndarray) -> int:
     """(_ranks(n, starts, ends) ** 2).sum() as an exact Python int, for n
     <= `ORDINALITY_MAX_PAIRS`: n(n^2 - 1)/3 without ties, and a group of L
     tied values takes L(L^2 - 1)/3 off it."""
-    size = ends - starts
+    size = (ends - starts).astype(np.int64)
     small = size[size <= 2**16]  # the sum of their L^3 stays below 2^56
     ties = int((small**3 - small).sum())
     ties += sum(k**3 - k for k in size[size > 2**16].tolist())
@@ -304,17 +331,25 @@ def _sum_sq_ranks(n: int, starts: np.ndarray, ends: np.ndarray) -> int:
 def _exact_dot(a: np.ndarray, b: np.ndarray, n: int) -> int:
     """a @ b of two int32 arrays with entries in [-(n-1), n-1], n <=
     `ORDINALITY_MAX_PAIRS`, as an exact Python int. Summed over int64
-    blocks small enough not to overflow, so no float64 copy of either
-    array is made."""
-    block = max(1, 2**62 // max(1, n - 1) ** 2)
+    blocks small enough not to overflow and at most `_BLOCK_ENTRIES`
+    long, so no P-sized copy of either array is made."""
+    block = max(1, min(_BLOCK_ENTRIES, 2**62 // max(1, n - 1) ** 2))
     return sum(int(np.dot(a[i:i + block].astype(np.int64), b[i:i + block]))
                for i in range(0, a.size, block))
 
 
-def _time_difference_blocks(t: np.ndarray, rows: int) -> Iterator[np.ndarray]:
-    """|t[i] - t[j]| in the row blocks of `core.sq_distance_blocks`."""
-    for start in range(0, t.size, rows):
-        yield np.abs(t[start:start + rows, None] - t[start:])
+def _time_differences(t: np.ndarray, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|t[i] - t[j]| of the pairs i < j of the t.size patients at the
+    condensed positions p (row-major, as `_condensed` lays them out)."""
+    # row i starts at s(i) = i(c - i)/2, c = 2m - 1, and i is the floor of
+    # the smaller root of s(i) = p: exact in float64, since the root is an
+    # integer (a square under the root) or at least 1/m from one
+    # (p is cast once: numpy casts a mixed int32/intp operation per block
+    # of elements, several times slower)
+    c = 2 * t.size - 1
+    i = ((c - np.sqrt(c * c - 8.0 * p.astype(np.float64))) * 0.5).astype(np.intp)
+    j = p.astype(np.intp) + i + 1 - (i * (c - i) >> 1)
+    return np.abs(t[i] - t[j], out=out)
 
 
 def _condensed(m: int, blocks: Iterable[np.ndarray]) -> np.ndarray:
@@ -351,15 +386,13 @@ def embedding_ordinality(embeddings: np.ndarray, events: np.ndarray,
         return math.nan
     m = idx.size
     n = m * (m - 1) // 2
-    rows = max(1, _BLOCK_ENTRIES // m)
     # squared distances: their ranks, and so rho, are those of the distances
-    x = _condensed(m, sq_distance_blocks(embeddings[idx], rows))
+    x = _condensed(m, sq_distance_blocks(embeddings[idx], max(1, _BLOCK_ENTRIES // m)))
     order, a_starts, a_ends = _ordered_ranks(x)
-    # glibc keeps up to 64 MiB of freed heap (`trainer._settle_allocator`):
-    # hand the ranking's temporaries back before two more P-sized arrays
-    _trim_heap()
     # x, consumed by the ranking, takes the time differences in distance order
-    _gather(_condensed(m, _time_difference_blocks(times[idx], rows)), order, out=x)
+    t = times[idx]
+    for k in range(0, n, _BLOCK_ENTRIES):
+        _time_differences(t, order[k:k + _BLOCK_ENTRIES], out=x[k:k + _BLOCK_ENTRIES])
     del order
     order, b_starts, b_ends = _ordered_ranks(x)
     del x
@@ -368,9 +401,15 @@ def embedding_ordinality(embeddings: np.ndarray, events: np.ndarray,
     # With a_k and b_k the ranks of the k-th pair in distance order, sum(b)
     # is 0, so while every a_k is 2k + 1 - n, sum(a b) = 2 sum(k b_k).
     if a_starts.size:  # distance ties: read each pair's a_k instead
-        sab = _exact_dot(_gather(_ranks(n, a_starts, a_ends), order), b, n)
+        a = _ranks(n, a_starts, a_ends)
+        for k in range(0, n, _BLOCK_ENTRIES):
+            block = order[k:k + _BLOCK_ENTRIES]
+            np.take(a, block.astype(np.intp), out=block)
+        del a
+        sab = _exact_dot(order, b, n)
     else:
         sab = 2 * _exact_dot(order, b, n)
+    del order, b
     scale = (math.sqrt(_sum_sq_ranks(n, a_starts, a_ends))
              * math.sqrt(_sum_sq_ranks(n, b_starts, b_ends)))
     if scale == 0.0:

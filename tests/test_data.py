@@ -75,10 +75,12 @@ class TestGenerateSynthetic:
 class TestCsvRoundTrip:
     def test_round_trip_equal(self, tmp_path):
         ds, _ = generate_synthetic(SynthConfig(n=25, d_in=3, seed=8))
-        # ids and a feature name that the csv dialect has to quote
+        # ids and a feature name that the csv dialect has to quote, and ids
+        # and a feature name whose spaces are part of them
         quoted = Dataset([Patient(pid, p.features, p.event, p.time) for pid, p in
-                          zip(["a,b", 'say "hi"', "two\nlines", "a\rb"], ds.patients)],
-                         ("x,1", *ds.feature_names[1:]))
+                          zip(["a,b", 'say "hi"', "two\nlines", "a\rb", " x ", "\t", ""],
+                              ds.patients)],
+                         ("x,1", " a", *ds.feature_names[2:]))
         for dataset in (ds, quoted):
             path = tmp_path / "data.csv"
             save_csv(dataset, path)

@@ -298,19 +298,54 @@ SPECIAL_BITS = (0, 2**63, 1, 2, 2**52 - 1, 0x7FF0_0000_0000_0000)
 
 @st.composite
 def pair_statistics(draw):
-    """Non-negative doubles, -0.0 and +inf among them, with heavy ties and
-    runs a few ulps apart that share their high bits, sized 2^k - 1, 2^k
-    and 2^k + 1 around the width of the packed index."""
+    """Non-negative doubles, sized 2^k - 1, 2^k and 2^k + 1 around the
+    width of the packed index: either drawn from a small pool (-0.0 and
+    +inf among them, heavy ties, runs a few ulps apart that share their
+    high bits), or ulp-packed (a base plus 0 to 2^u ulps each, so that
+    for u >= k most values share one run of high bits)."""
     k = draw(st.integers(1, 12))
     n = draw(st.sampled_from([max(1, 2**k - 1), 2**k, 2**k + 1]))
     bases = draw(st.lists(st.integers(0, 0x7FEF_FFFF_FFFF_0000),
                           min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        ulps = rng.integers(0, 2 ** draw(st.integers(1, 16)), n, dtype=np.uint64)
+        return (np.uint64(bases[0]) + ulps).view(np.float64)
     near = st.builds(int.__add__, st.sampled_from(bases), st.integers(0, 40))
     pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_BITS), near),
                          min_size=1, max_size=30, unique=True))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bits = np.array(pool, dtype=np.uint64)[rng.integers(0, len(pool), n)]
     return bits.view(np.float64)
+
+
+def mixed_statistics(n, seed):
+    """n doubles with every shape the block passes meet: continuous
+    values, ulp-packed runs longer and shorter than a block, day-rounded
+    integers, long tie groups and -0.0, in shuffled stretches."""
+    rng = np.random.default_rng(seed)
+    one = np.float64(1.0).view(np.uint64)
+    parts = [rng.exponential(1.0, n),
+             (one + rng.integers(0, 2**12, n, dtype=np.uint64)).view(np.float64),
+             (one + rng.integers(0, 3, n, dtype=np.uint64)).view(np.float64) * 4,
+             np.ceil(365 * rng.exponential(1.0, n)),
+             np.full(n, 7.0), np.full(n, -0.0)]
+    cut = np.sort(rng.integers(0, n, len(parts) - 1))
+    x = np.concatenate([part[a:b] for part, a, b in zip(parts, np.r_[0, cut], np.r_[cut, n])])
+    return x[rng.permutation(n)]
+
+
+def check_ordered_ranks(x):
+    """`_ordered_ranks` of a copy of x against the argsort oracle."""
+    order, starts, ends = metrics._ordered_ranks(x.copy())
+    ranks = metrics._ranks(x.size, starts, ends)
+    assert order.dtype == ranks.dtype == starts.dtype == ends.dtype == np.int32
+    np.testing.assert_array_equal(np.sort(order), np.arange(x.size))
+    assert (x[order][1:] >= x[order][:-1]).all()
+    got = np.empty(x.size)
+    got[order] = ranks
+    np.testing.assert_array_equal(got, centred_ranks(x.copy()))
+    assert (metrics._sum_sq_ranks(x.size, starts, ends)
+            == sum(int(r) ** 2 for r in ranks))
 
 
 class TestExactDot:
@@ -320,6 +355,13 @@ class TestExactDot:
         a, b = rng.integers(1 - n, n, (2, n), dtype=np.int32)
         want = sum(int(x) * int(y) for x, y in zip(a, b))
         assert metrics._exact_dot(a, b, n) == want
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_equals_python_int_sum_over_short_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", block)
+        n = 1001
+        a, b = np.random.default_rng(block).integers(1 - n, n, (2, n), dtype=np.int32)
+        assert metrics._exact_dot(a, b, n) == sum(int(x) * int(y) for x, y in zip(a, b))
 
     @pytest.mark.parametrize("n", [2, 5000, 2**21 + 3])
     def test_extreme_entries_over_several_blocks(self, n):
@@ -335,16 +377,15 @@ class TestOrderedRanks:
     @given(pair_statistics())
     @settings(max_examples=300, deadline=None)
     def test_equals_argsort_oracle(self, x):
-        order, starts, ends = metrics._ordered_ranks(x.copy())
-        ranks = metrics._ranks(x.size, starts, ends)
-        assert order.dtype == ranks.dtype == np.int32
-        np.testing.assert_array_equal(np.sort(order), np.arange(x.size))
-        assert (x[order][1:] >= x[order][:-1]).all()
-        got = np.empty(x.size)
-        got[order] = ranks
-        np.testing.assert_array_equal(got, centred_ranks(x.copy()))
-        assert (metrics._sum_sq_ranks(x.size, starts, ends)
-                == sum(int(r) ** 2 for r in ranks))
+        check_ordered_ranks(x)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 16, 61])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_runs_and_ties_across_block_boundaries(self, block, seed, monkeypatch):
+        # runs and tie groups longer than a block, and blocks of many
+        # short runs, with block edges everywhere among them
+        monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", block)
+        check_ordered_ranks(mixed_statistics(3000, seed))
 
     def test_negative_zero_ties_with_zero(self):
         order, starts, ends = metrics._ordered_ranks(np.array([-0.0, 1.0, 0.0, -0.0]))
@@ -405,6 +446,14 @@ class TestOrdinalityExact:
         events = np.ones(150, dtype=int)
         assert embedding_ordinality(emb, events, times) == exact_ordinality(emb, events, times)
 
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    @pytest.mark.parametrize("days, dup", [(True, False), (False, True)])
+    def test_equals_exact_oracle_over_short_blocks(self, block, days, dup, monkeypatch):
+        # distance and time ties that straddle the blocks of every pass
+        monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", block)
+        emb, events, times = grid_cohort(60, block, days, dup)
+        assert embedding_ordinality(emb, events, times) == exact_ordinality(emb, events, times)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_capped_subset_equals_exact_oracle(self, seed, monkeypatch):
         monkeypatch.setattr(metrics, "ORDINALITY_MAX_PAIRS", 1000)
@@ -413,43 +462,68 @@ class TestOrdinalityExact:
         assert embedding_ordinality(emb, events, times) == exact_ordinality(emb, events, times)
 
 
+# The peak is read from VmHWM, the high-water mark of this process's own
+# address space: ru_maxrss also keeps the RSS of the process that started
+# it (Linux carries it over fork and exec), so under pytest it read the
+# runner's ~120 MB and the growth 0.
 ORDINALITY_PEAK_PER_PAIR = """
-import resource, sys
+import sys
 import numpy as np
+from survrnc import trainer
 from survrnc.metrics import embedding_ordinality
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+if sys.argv[2] == "settled":
+    trainer._settle_allocator()
 m = 2000
 rng = np.random.default_rng(0)
 emb, times = rng.standard_normal((m, 32)), rng.exponential(1.0, m)
 if sys.argv[1] == "days":
     times = np.ceil(365 * times)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 embedding_ordinality(emb, np.ones(m, dtype=int), times)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print((after - before) * 1024 / (m * (m - 1) // 2))
+print((peak_kib() - before) * 1024 / (m * (m - 1) // 2))
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 class TestOrdinalityMemory:
+    # every CLI command settles the allocator first; its 32 MiB mmap
+    # threshold puts these P-sized arrays on the heap, where layout shows
+    @pytest.mark.parametrize("allocator", ["default", "settled"])
     @pytest.mark.parametrize("times", ["continuous", "days"])
-    def test_peak_bytes_per_pair(self, times):
-        # 1,999,000 pairs: ranking with argsort took 57-67 B per pair,
-        # the packed-key ranks take about 27
-        assert float(run_python(ORDINALITY_PEAK_PER_PAIR, times)) < 40
+    def test_peak_bytes_per_pair(self, times, allocator):
+        # 1,999,000 pairs: ranking with argsort took 57-67 B per pair, the
+        # packed keys with a time-difference table 22-27; the 8-byte keys,
+        # their 4-byte order and 1-byte run flags take 14.3-14.8
+        assert float(run_python(ORDINALITY_PEAK_PER_PAIR, times, allocator)) < 17.5
 
 
 class TestCondensedPairs:
     """The pair statistics `embedding_ordinality` ranks, in condensed order,
     whatever the block height."""
 
-    @pytest.mark.parametrize("m,rows", [(2, 1), (3, 1), (3, 3), (5, 2), (40, 7),
-                                        (40, 40), (701, 262), (1500, 174)])
-    def test_time_differences_equal_cityblock_pdist_bitwise(self, m, rows):
+    @pytest.mark.parametrize("m", [2, 3, 5, 40, 701, 1500])
+    def test_time_differences_equal_cityblock_pdist_bitwise(self, m):
         rng = np.random.default_rng(m)
         t = np.where(rng.random(m) < 0.5, np.ceil(365 * rng.exponential(1.0, m)),
                      rng.exponential(3.0, m))
-        got = metrics._condensed(m, metrics._time_difference_blocks(t, rows))
-        assert np.array_equal(got, time_differences(t))
+        # condensed positions in any order, as a ranking hands them over
+        p = rng.permutation(m * (m - 1) // 2).astype(np.int32)
+        assert np.array_equal(metrics._time_differences(t, p), time_differences(t)[p])
+
+    def test_time_differences_at_every_row_boundary_of_the_cap(self):
+        # m = 5,793 has the most pairs under the cap; each row i starts at
+        # (i, i + 1) and the position before it is (i - 1, m - 1)
+        m = 5793
+        assert m * (m - 1) // 2 <= metrics.ORDINALITY_MAX_PAIRS < m * (m + 1) // 2
+        t = np.random.default_rng(0).standard_normal(m)
+        i = np.arange(1, m - 1)
+        first = i * (2 * m - 1 - i) // 2
+        got = metrics._time_differences(t, np.r_[0, first, first - 1].astype(np.int32))
+        want = np.abs(np.r_[t[0] - t[1], t[i] - t[i + 1], t[i - 1] - t[m - 1]])
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("m,rows", [(3, 1), (5, 2), (40, 7), (701, 262)])
     def test_sq_distances_in_condensed_order(self, m, rows):
