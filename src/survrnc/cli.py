@@ -22,6 +22,7 @@ from . import trainer
 from .core import ConfigError, ValidationError
 from .data import (_RISK_MODELS, _SAMPLER_MODES, ParseError, SynthConfig, csv_cell,
                    generate_synthetic, load_csv, save_csv)
+from .metrics import NoComparablePairsError, TooFewUncensoredError, UndefinedAtHorizonError
 from .trainer import CheckpointError, TrainConfig
 
 # The train and lambda-sweep flags come from the TrainConfig fields, with
@@ -231,8 +232,10 @@ def main(argv=None) -> int:
     trainer._settle_allocator()
     try:
         return args.func(args)
+    # a bad file or config, or a data set on which a metric is undefined
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, ParseError,
-            ValidationError, ConfigError, CheckpointError) as exc:  # a bad file or config
+            ValidationError, ConfigError, CheckpointError, NoComparablePairsError,
+            UndefinedAtHorizonError, TooFewUncensoredError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

@@ -4,7 +4,7 @@ For every ordered (anchor, positive) pair the loss contrasts the pair's
 similarity against the members ranked at least as far from the anchor in
 time, weighting censoring-uncertain members by lambda. Similarity is
 negative Euclidean distance. The B x B distances come from one GEMM on
-the centred batch, |a|^2 + |b|^2 - 2 a.b (`core.sq_distance_blocks`); a pair
+the centred batch, |a|^2 + |b|^2 - 2 a.b (`core.sq_distance_rows`); a pair
 whose squared distance falls below `core.GUARD_KAPPA` times |a|^2 + |b|^2,
 where that formula cancels, is recomputed from the difference of its
 rows, so identical views are exactly 0 apart and every distance is
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossConfig, sq_distance_blocks
+from .core import LossConfig, sq_distance_rows
 from .pairsets import exact_bounds
 
 
@@ -115,7 +115,7 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
              in zip(exact_bounds(batch.events, batch.times), (0, -1), (1.0 - lam, lam))
              if weight > 0]
     first, last = _tie_groups(np.take(theta, ranked))
-    dist = np.take(np.sqrt(next(sq_distance_blocks(v, n))), ranked)
+    dist = np.take(np.sqrt(sq_distance_rows(v)(0, n)), ranked)
     x = -dist / tau
     is_self = (rows, np.argmax(ranked == rows * (n + 1), axis=1)[:, None])  # k = a's place
     x[is_self] = -np.inf  # k = a never participates

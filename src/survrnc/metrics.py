@@ -23,7 +23,7 @@ All three metrics are exact, sort-based and loop-free:
   embedding distances and |time differences| of m uncensored patients.
   The squared embedding distances are written into one condensed array,
   in row blocks of about 0.5 MB, by one GEMM per block with close pairs
-  recomputed from their difference (`core.sq_distance_blocks`). Squaring
+  recomputed from their difference (`core.sq_distance_rows`). Squaring
   is monotone, so the ranks are those of the distances; duplicated
   embeddings are exactly 0 apart, and embeddings on a common binary grid
   keep their exact ties. A statistic is ranked exactly from one in-place
@@ -39,10 +39,21 @@ All three metrics are exact, sort-based and loop-free:
   2 sum_j order[j] b_j; with distance ties each pair's distance rank is
   read at order[j] instead. The sums of squared ranks follow from the
   tie group sizes. Every sum is an exact Python int, so rho is rounded
-  only by its two square roots and one division. O(P log P) time; no
-  stage holds more than 13 bytes per pair (the 8-byte keys, a 4-byte
-  order and 1-byte run flags), and the peak RSS grows by about 14.5
-  bytes per pair, with or without time ties (m = 2,000). Above
+  only by its two square roots and one division.
+
+  Every pass over the P pairs but one (the partition before each sort)
+  runs on two cores: `_in_halves` splits the pairs at a block edge near
+  P / 2 and works on the first half on the calling thread while one
+  worker thread works on the second. The halves write disjoint parts
+  of the shared arrays, and numpy releases the interpreter lock inside
+  each block's operations. A sort becomes a partition at that edge and
+  the two halves sorted at the same time. Runs, ties and ranks that
+  straddle the edge come out as in one pass, so rho is the same, bit for
+  bit, whatever the scheduling or the number of CPUs. O(P log P) time;
+  no stage holds more than 12 bytes per pair (the 8-byte keys and a
+  4-byte order), and with both threads' 0.5 MB blocks the peak RSS grows
+  by about 15.5 bytes per pair, with or without time ties (m = 2,000,
+  settled allocator, see `trainer._settle_allocator`). Above
   `ORDINALITY_MAX_PAIRS` pairs (about 5,800 uncensored patients, ~0.25 GB)
   it ranks the pairs of a fixed-seed subset of the uncensored patients
   instead (see `ordinality_subset`), so memory stays bounded and the
@@ -53,12 +64,13 @@ All three metrics are exact, sort-based and loop-free:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .core import sq_distance_blocks
+from .core import sq_distance_rows
 
 DEFAULT_HORIZON_FRACTIONS = (0.25, 0.5, 0.75)
 # largest number of uncensored pairs `embedding_ordinality` ranks; below
@@ -68,6 +80,7 @@ ORDINALITY_MAX_PAIRS = 2**24
 # entries per block of a pass over a pair statistic: 0.5 MB temporaries
 # that the next block reuses, whatever the number of patients
 _BLOCK_ENTRIES = 2**16
+_T = TypeVar("_T")
 
 
 class NoComparablePairsError(ValueError):
@@ -134,7 +147,7 @@ def concordance_index(risks: np.ndarray, events: np.ndarray,
     q_last, q_rank = last[query], rank[query]
     comparable = int((n - 1 - q_last).sum())
     if comparable == 0:
-        raise NoComparablePairsError("no comparable pairs in the input")
+        raise NoComparablePairsError("concordance index: no comparable pairs in the input")
     # Count the points p > q_last with rank below / equal to q_rank. For
     # each such pair, the highest bit where p and q_last differ is set in
     # p and clear in q_last, and the bits above it agree: at that level the
@@ -164,7 +177,7 @@ def cumulative_dynamic_auc(risks: np.ndarray, events: np.ndarray,
     controls = np.sort(risks[times > horizon])
     if cases.size == 0 or controls.size == 0:
         raise UndefinedAtHorizonError(
-            f"horizon {horizon}: {cases.size} cases, {controls.size} controls")
+            f"AUC at horizon {horizon}: {cases.size} cases, {controls.size} controls")
     lo = np.searchsorted(controls, cases)
     hi = np.searchsorted(controls, cases, side="right")
     wins = lo.sum()
@@ -187,6 +200,51 @@ def ordinality_subset(events: np.ndarray) -> np.ndarray:
     return np.random.default_rng(0).permutation(uncensored)[:k]
 
 
+def _half(n: int) -> int:
+    """Where `_in_halves` splits n entries: the least multiple of
+    `_BLOCK_ENTRIES` at or above n / 2, or n if that is smaller (n of one
+    block or less)."""
+    return min(n, -(-n // (2 * _BLOCK_ENTRIES)) * _BLOCK_ENTRIES)
+
+
+def _in_halves(n: int, work: Callable[[int, int], _T]) -> tuple[_T, _T]:
+    """(work(0, h), work(h, n)) for h = `_half(n)`: the first half on the
+    calling thread and, at the same time, the second on one worker
+    thread, which has ended when this returns. An exception raised in
+    either half is raised here. When n is one block or less, both
+    (the second empty) run here."""
+    h = _half(n)
+    if h == n:
+        return work(0, n), work(n, n)
+    second = {}
+
+    def run_second():
+        try:
+            second["value"] = work(h, n)
+        except BaseException as exc:  # re-raised on the calling thread
+            second["error"] = exc
+
+    worker = threading.Thread(target=run_second)
+    worker.start()
+    try:
+        first = work(0, h)
+    finally:
+        worker.join()
+    if "error" in second:
+        raise second["error"]
+    return first, second["value"]
+
+
+def _blocks(lo: int, hi: int) -> Iterator[slice]:
+    """The slices, `_BLOCK_ENTRIES` long but the last, that tile [lo, hi)."""
+    return (slice(i, min(i + _BLOCK_ENTRIES, hi)) for i in range(lo, hi, _BLOCK_ENTRIES))
+
+
+def _joined(parts) -> tuple[np.ndarray, ...]:
+    """The k-th arrays of the tuples `parts`, for each k, joined end to end."""
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
 def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The ranges [starts[g], ends[g]) one after another, as int32."""
     size = ends - starts
@@ -195,27 +253,34 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return out
 
 
-def _linked(key: np.ndarray, w: int, out: np.ndarray) -> np.ndarray:
-    """out[k] = whether key[k] and key[k + 1] agree above their low w bits,
-    for k < out.size; in blocks."""
-    for i in range(0, out.size, _BLOCK_ENTRIES):
-        e = min(i + _BLOCK_ENTRIES, out.size)
-        np.less(key[i:e] ^ key[i + 1:e + 1], np.uint64(1 << w), out=out[i:e])
-    return out
+def _runs(key: np.ndarray, w: int, lo: int = 0, hi: int | None = None
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends), int32, of the runs of the ascending `key`: the
+    maximal groups [s, e) of two or more entries that agree above their
+    low w bits. Entries k and k + 1 are linked when they agree; this
+    looks at the links lo <= k < hi, in blocks, and returns the runs that
+    start there and the ends of those that end there, so the runs of two
+    adjacent ranges are their results joined end to end."""
+    last = key.size - 1  # the last link joins entries last - 1 and last
+    hi = last if hi is None else min(hi, last)
 
+    def linked(k: int) -> bool:
+        return 0 <= k < last and int(key[k] ^ key[k + 1]) >> w == 0
 
-def _groups(linked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends), int32, of the maximal groups [s, e) of two or more
-    entries in which linked[k] joins entries k and k + 1; in blocks."""
-    starts, ends = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
-    for i in range(0, linked.size, _BLOCK_ENTRIES):
-        e = min(i + _BLOCK_ENTRIES, linked.size)
-        # step[k] compares linked[i + k] with linked[i + k - 1], False outside
-        step = np.diff(linked[i:e].view(np.int8), prepend=np.int8(i and linked[i - 1]),
-                       append=np.int8(e < linked.size and linked[e]))
-        starts.append((i + np.flatnonzero(step[:-1] == 1)).astype(np.int32))
-        ends.append((i + 2 + np.flatnonzero(step[1:] == -1)).astype(np.int32))
-    return np.concatenate(starts), np.concatenate(ends)
+    starts, ends = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for b in _blocks(lo, hi):
+        k = np.flatnonzero((key[b] ^ key[b.start + 1:b.stop + 1]) < np.uint64(1 << w))
+        if k.size:
+            # cut[j]: links k[j - 1] and k[j] are not adjacent, so a run ends
+            # and one starts between them (or at the block's edge)
+            cut = np.empty(k.size + 1, dtype=bool)
+            np.not_equal(k[1:], k[:-1] + 1, out=cut[1:-1])
+            cut[0] = k[0] > 0 or not linked(b.start - 1)
+            cut[-1] = k[-1] < b.stop - b.start - 1 or not linked(b.stop)
+            starts.append(k[cut[:-1]] + b.start)
+            ends.append(k[cut[1:]] + (b.start + 2))
+    return (np.concatenate(starts).astype(np.int32),
+            np.concatenate(ends).astype(np.int32))
 
 
 def _chunks(starts: np.ndarray, ends: np.ndarray, entries: int) -> Iterator[slice]:
@@ -230,6 +295,44 @@ def _chunks(starts: np.ndarray, ends: np.ndarray, entries: int) -> Iterator[slic
         g = h
 
 
+def _ties_of_runs(key: np.ndarray, low: np.ndarray, w: int, starts: np.ndarray,
+                  ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re-sorts each run [starts[g], ends[g]) of the packed `key` by
+    (set-aside bits in `low`, index) and returns the (starts, ends) of its
+    groups of two or more equal values, the ties."""
+    mask = np.uint64((1 << w) - 1)
+    ties = [(np.empty(0, np.int32), np.empty(0, np.int32))]
+    # a block holds fewer than 2^(64 - 2w) runs, so that a run's number
+    # fits above its entries' set-aside bits and index
+    for c in _chunks(starts, ends, min(_BLOCK_ENTRIES, 2**(64 - 2 * w))):
+        if c.stop - c.start == 1:  # one run [s, e): re-sorted in place
+            s, e = int(starts[c.start]), int(ends[c.start])
+            run = key[s:e]
+            for b in _blocks(0, run.size):
+                block = run[b]
+                index = block & mask
+                block[...] = low[index.view(np.int64)]
+                block <<= np.uint64(w)
+                block |= index
+            run.sort()
+            run_starts, run_ends = _runs(run, w)
+            ties.append((run_starts + s, run_ends + s))
+        else:  # several runs, one copy of their entries
+            pos = _ranges(starts[c], ends[c])
+            index = key[pos] & mask
+            block = np.repeat(np.arange(c.stop - c.start, dtype=np.uint64),
+                              ends[c] - starts[c])
+            block <<= np.uint64(w)
+            block |= low[index.view(np.int64)]
+            block <<= np.uint64(w)
+            block |= index
+            block.sort()
+            key[pos] = block
+            run_starts, run_ends = _runs(block, w)
+            ties.append((pos[run_starts], pos[run_ends - 1] + 1))
+    return _joined(ties)
+
+
 def _ordered_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(order, starts, ends): the int32 `order` sorts `x`, and the sorted
     positions [starts[g], ends[g]) (int32) hold the g-th group of two or
@@ -238,16 +341,18 @@ def _ordered_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Such doubles order like their bit patterns. Each value's low
     w = bit_length(n - 1) bits are set aside (in `low`, uint32) and
-    replaced by its index, so one in-place sort of the uint64 keys yields
-    the order up to runs of equal kept high bits. When any bit was set
-    aside, each run is sorted once more by (set-aside bits, index), which
-    go into the keys' own buffer: in place for a run alone, or a block
-    of small runs at a time with the run's number above them; the
-    entries of a run with equal set-aside bits are the ties. Otherwise
-    (integers, such as day-rounded times) the runs are the ties. The
-    order, the keys' low w bits, is then written over `low`. Besides `x`
-    this holds 5 bytes per value, the int32 bounds of the runs and ties,
-    and blocks of 0.5 MB.
+    replaced by its index, so all keys differ and sorting the uint64 keys
+    in place yields the order up to runs of equal kept high bits. The
+    sort is a partition at `_half(n)` and the two halves sorted at the
+    same time, which is one full sort. When any bit was set aside, each
+    run is sorted once more by (set-aside bits, index), which go into the
+    keys' own buffer: in place for a run alone, or a block of small runs
+    at a time with the run's number above them; the entries of a run with
+    equal set-aside bits are the ties. Otherwise (integers, such as
+    day-rounded times) the runs are the ties. The order, the keys' low w
+    bits, is then written over `low`. Every pass but the partition runs
+    in two halves (`_in_halves`). Besides `x` this holds 4 bytes per
+    value, the int32 bounds of the runs and ties, and blocks of 0.5 MB.
     """
     n = x.size
     if not 0 < n < 2**31:
@@ -255,49 +360,31 @@ def _ordered_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     key = x.view(np.uint64)
     w = (n - 1).bit_length()
     mask = np.uint64((1 << w) - 1)
-    low = key.astype(np.uint32)  # keeps the low 32 >= w bits
-    low &= np.uint32(mask)
     high = np.uint64(2**63 - 1) ^ mask  # and not the sign bit: -0.0 becomes 0.0
-    for i in range(0, n, _BLOCK_ENTRIES):
-        block = key[i:i + _BLOCK_ENTRIES]
-        block &= high
-        block |= np.arange(i, i + block.size, dtype=np.uint64)
-    key.sort()
-    linked = _linked(key, w, np.empty(n - 1, dtype=bool))
-    starts, ends = _groups(linked)  # the runs
-    if low.any():
-        ties = [(np.empty(0, np.int32), np.empty(0, np.int32))]
-        # a block holds fewer than 2^(64 - 2w) runs, so that a run's number
-        # fits above its entries' set-aside bits and index
-        for c in _chunks(starts, ends, min(_BLOCK_ENTRIES, 2**(64 - 2 * w))):
-            if c.stop - c.start == 1:  # one run [s, e): re-sorted in place
-                s, e = int(starts[c.start]), int(ends[c.start])
-                run = key[s:e]
-                for i in range(0, run.size, _BLOCK_ENTRIES):
-                    block = run[i:i + _BLOCK_ENTRIES]
-                    index = block & mask
-                    block[...] = low[index.view(np.int64)]
-                    block <<= np.uint64(w)
-                    block |= index
-                run.sort()
-                run_starts, run_ends = _groups(_linked(run, w, linked[s:e - 1]))
-                ties.append((run_starts + s, run_ends + s))
-            else:  # several runs, one copy of their entries
-                pos = _ranges(starts[c], ends[c])
-                index = key[pos] & mask
-                block = np.repeat(np.arange(c.stop - c.start, dtype=np.uint64),
-                                  ends[c] - starts[c])
-                block <<= np.uint64(w)
-                block |= low[index.view(np.int64)]
-                block <<= np.uint64(w)
-                block |= index
-                block.sort()
-                key[pos] = block
-                run_starts, run_ends = _groups(_linked(block, w, np.empty(block.size - 1, bool)))
-                ties.append((pos[run_starts], pos[run_ends - 1] + 1))
-        starts, ends = (np.concatenate(t) for t in zip(*ties))
-    del linked
-    np.bitwise_and(key, mask, out=low, casting="unsafe")
+    low = np.empty(n, dtype=np.uint32)  # keeps the low 32 >= w bits
+
+    def pack(lo: int, hi: int) -> bool:  # whether any bit set aside is 1
+        any_low = False
+        for b in _blocks(lo, hi):
+            block = key[b]
+            np.bitwise_and(block, mask, out=low[b], casting="unsafe")
+            any_low = any_low or bool(low[b].any())
+            block &= high
+            block |= np.arange(b.start, b.stop, dtype=np.uint64)
+        return any_low
+
+    any_low = any(_in_halves(n, pack))
+    if _half(n) < n:  # so that the halves sorted apart are sorted together
+        key.partition(_half(n))
+    _in_halves(n, lambda lo, hi: key[lo:hi].sort())
+    starts, ends = _joined(_in_halves(n, lambda lo, hi: _runs(key, w, lo, hi)))
+    if any_low:
+        def resort(lo: int, hi: int):  # the runs that start in [lo, hi)
+            g = slice(*np.searchsorted(starts, (lo, hi)))
+            return _ties_of_runs(key, low, w, starts[g], ends[g])
+        starts, ends = _joined(_in_halves(n, resort))
+    _in_halves(n, lambda lo, hi: np.bitwise_and(key[lo:hi], mask, out=low[lo:hi],
+                                                casting="unsafe"))
     return low.view(np.int32), starts, ends
 
 
@@ -307,13 +394,22 @@ def _ranks(n: int, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     `_ordered_ranks`, n <= `ORDINALITY_MAX_PAIRS`."""
     # ties at sorted positions [s, e) have mean rank (s + 1 + e)/2 and the
     # overall mean rank is (n + 1)/2; an untied entry at k has s = k, e = k + 1
-    ranks = np.arange(1 - n, n, 2, dtype=np.int32)
-    for c in _chunks(starts, ends, _BLOCK_ENTRIES):
-        s, e = starts[c], ends[c]
-        if c.stop - c.start == 1:
-            ranks[s[0]:e[0]] = s[0] + e[0] - n
-        else:
-            ranks[_ranges(s, e)] = np.repeat(s + e - n, e - s)
+    ranks = np.empty(n, dtype=np.int32)
+
+    def fill(lo: int, hi: int):
+        for b in _blocks(lo, hi):
+            ranks[b] = np.arange(2 * b.start + 1 - n, 2 * b.stop + 1 - n, 2, dtype=np.int32)
+        # the groups that meet [lo, hi), cut to it
+        g = slice(np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi))
+        value = starts[g] + ends[g] - n
+        s, e = np.maximum(starts[g], lo), np.minimum(ends[g], hi)
+        for c in _chunks(s, e, _BLOCK_ENTRIES):
+            if c.stop - c.start == 1:
+                ranks[s[c.start]:e[c.start]] = value[c.start]
+            else:
+                ranks[_ranges(s[c], e[c])] = np.repeat(value[c], e[c] - s[c])
+
+    _in_halves(n, fill)
     return ranks
 
 
@@ -330,17 +426,24 @@ def _sum_sq_ranks(n: int, starts: np.ndarray, ends: np.ndarray) -> int:
 
 def _exact_dot(a: np.ndarray, b: np.ndarray, n: int) -> int:
     """a @ b of two int32 arrays with entries in [-(n-1), n-1], n <=
-    `ORDINALITY_MAX_PAIRS`, as an exact Python int. Summed over int64
-    blocks small enough not to overflow and at most `_BLOCK_ENTRIES`
-    long, so no P-sized copy of either array is made."""
+    `ORDINALITY_MAX_PAIRS`, as an exact Python int: two partial sums
+    (`_in_halves`) over int64 blocks small enough not to overflow and at
+    most `_BLOCK_ENTRIES` long, so no P-sized copy of either array is made."""
     block = max(1, min(_BLOCK_ENTRIES, 2**62 // max(1, n - 1) ** 2))
-    return sum(int(np.dot(a[i:i + block].astype(np.int64), b[i:i + block]))
-               for i in range(0, a.size, block))
+
+    def partial(lo: int, hi: int) -> int:
+        total = 0
+        for i in range(lo, hi, block):
+            e = min(i + block, hi)
+            total += int(np.dot(a[i:e].astype(np.int64), b[i:e]))
+        return total
+
+    return sum(_in_halves(a.size, partial))
 
 
 def _time_differences(t: np.ndarray, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|t[i] - t[j]| of the pairs i < j of the t.size patients at the
-    condensed positions p (row-major, as `_condensed` lays them out)."""
+    condensed positions p (row-major, as `_sq_distances` lays them out)."""
     # row i starts at s(i) = i(c - i)/2, c = 2m - 1, and i is the floor of
     # the smaller root of s(i) = p: exact in float64, since the root is an
     # integer (a square under the root) or at least 1/m from one
@@ -352,17 +455,26 @@ def _time_differences(t: np.ndarray, p: np.ndarray, out: np.ndarray | None = Non
     return np.abs(t[i] - t[j], out=out)
 
 
-def _condensed(m: int, blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """The m(m-1)/2 statistics of the pairs i < j in row-major order (the
-    order of a condensed distance matrix), copied from row blocks: block
-    [r, k] of the block that starts at row `start` is the statistic of
-    the pair (start + r, start + k)."""
+def _sq_distances(v: np.ndarray, rows: int) -> np.ndarray:
+    """The m(m-1)/2 squared distances of the pairs i < j of the m rows of
+    `v`, in row-major order (the order of a condensed distance matrix),
+    copied from the `core.sq_distance_rows` blocks of `rows` rows. A
+    block is computed on the thread of the half (`_in_halves`) that holds
+    its first pair."""
+    m = v.shape[0]
     out = np.empty(m * (m - 1) // 2)
-    pos = 0
-    for block in blocks:
-        for r, row in enumerate(block):
-            out[pos:pos + row.size - r - 1] = row[r + 1:]
-            pos += row.size - r - 1
+    block = sq_distance_rows(v)
+
+    def fill(lo: int, hi: int):
+        for start in range(0, m, rows):
+            pos = start * (2 * m - 1 - start) // 2  # of the pair (start, start + 1)
+            if lo <= pos < hi:
+                rect = block(start, start + rows)
+                size = rect.size - rect.shape[0] * (rect.shape[0] + 1) // 2
+                np.concatenate([row[r + 1:] for r, row in enumerate(rect)],
+                               out=out[pos:pos + size])
+
+    _in_halves(out.size, fill)
     return out
 
 
@@ -380,19 +492,24 @@ def embedding_ordinality(embeddings: np.ndarray, events: np.ndarray,
     times = np.asarray(times, dtype=float)
     m = int((events == 1).sum())
     if m < 3:
-        raise TooFewUncensoredError(f"need >= 3 uncensored patients, got {m}")
+        raise TooFewUncensoredError(
+            f"ordinality needs >= 3 uncensored patients, got {m}")
     idx = ordinality_subset(events)
     if not (np.isfinite(embeddings[idx]).all() and np.isfinite(times[idx]).all()):
         return math.nan
     m = idx.size
     n = m * (m - 1) // 2
     # squared distances: their ranks, and so rho, are those of the distances
-    x = _condensed(m, sq_distance_blocks(embeddings[idx], max(1, _BLOCK_ENTRIES // m)))
+    x = _sq_distances(embeddings[idx], max(1, _BLOCK_ENTRIES // m))
     order, a_starts, a_ends = _ordered_ranks(x)
     # x, consumed by the ranking, takes the time differences in distance order
     t = times[idx]
-    for k in range(0, n, _BLOCK_ENTRIES):
-        _time_differences(t, order[k:k + _BLOCK_ENTRIES], out=x[k:k + _BLOCK_ENTRIES])
+
+    def differences(lo: int, hi: int):
+        for b in _blocks(lo, hi):
+            _time_differences(t, order[b], out=x[b])
+
+    _in_halves(n, differences)
     del order
     order, b_starts, b_ends = _ordered_ranks(x)
     del x
@@ -402,9 +519,12 @@ def embedding_ordinality(embeddings: np.ndarray, events: np.ndarray,
     # is 0, so while every a_k is 2k + 1 - n, sum(a b) = 2 sum(k b_k).
     if a_starts.size:  # distance ties: read each pair's a_k instead
         a = _ranks(n, a_starts, a_ends)
-        for k in range(0, n, _BLOCK_ENTRIES):
-            block = order[k:k + _BLOCK_ENTRIES]
-            np.take(a, block.astype(np.intp), out=block)
+
+        def read(lo: int, hi: int):
+            for blk in _blocks(lo, hi):
+                np.take(a, order[blk].astype(np.intp), out=order[blk])
+
+        _in_halves(n, read)
         del a
         sab = _exact_dot(order, b, n)
     else:

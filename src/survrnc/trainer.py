@@ -210,7 +210,8 @@ def _model_risks(model: TrainedModel, features: np.ndarray):
 
 
 def _settle_allocator() -> None:
-    """Start glibc malloc at the thresholds its own adjustment converges to.
+    """Start glibc malloc at the thresholds its own adjustment converges
+    to, with one arena for every thread.
 
     glibc serves blocks of 128 KiB and up with mmap and trims the heap
     once 128 KiB lie free at its top; it raises both limits (to 32 MiB and
@@ -218,14 +219,20 @@ def _settle_allocator() -> None:
     step frees and re-allocates its temporaries, so until then every step
     hands them back to the kernel and faults them in again: about 24k
     minor faults in 200 steps of 64 views, 80k in 24 steps of 256 views.
-    `train` calls it first, and the CLI before any command. Does nothing
-    where the C library has no `mallopt`.
+    By default glibc also gives each new thread an arena of its own, a
+    second heap that keeps its freed blocks apart from the first; with
+    one arena (M_ARENA_MAX 1) the worker thread of the ordinality passes
+    (`metrics._in_halves`) takes its temporaries from the main heap and
+    hands them back there, so the peak RSS does not grow by a second set
+    of them. `train` calls it first, and the CLI before any command. Does
+    nothing where the C library has no `mallopt`.
     """
     mallopt = _libc_function("mallopt", ctypes.c_int, ctypes.c_int)
     if mallopt is not None:
-        m_trim_threshold, m_mmap_threshold = -1, -3
+        m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8
         mallopt(m_mmap_threshold, 32 << 20)
         mallopt(m_trim_threshold, 64 << 20)
+        mallopt(m_arena_max, 1)
 
 
 def init_model(cfg: TrainConfig, d_in: int, num_bins: int):

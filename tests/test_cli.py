@@ -396,10 +396,23 @@ class TestInputErrors:
                    "bad_grid": json.dumps({**payload, "grid": [3.0, 1.0]})}
         for name, text in configs.items():
             (tmp_path / f"{name}.json").write_text(text)
+        # held-out sets, times 1..60, on which one metric is undefined: 2
+        # events (ordinality), no event by a quarter of the maximum time
+        # (AUC at 15), and events only at the last time (concordance)
+        ds = load_csv(data_csv)
+        times = np.arange(1.0, 61.0)
+        labels = {"two_events": (times <= 2, times),
+                  "late_events": (times > 15, times),
+                  "last_events": (times > 57, np.minimum(times, 58.0))}
+        for name, (events, when) in labels.items():
+            save_csv(Dataset([Patient(p.id, p.features, int(e), float(t)) for p, e, t
+                              in zip(ds.patients, events, when)], ds.feature_names),
+                     tmp_path / f"{name}.csv")
         return {"data": str(data_csv), "ckpt": str(ckpt),
                 "missing": str(tmp_path / "missing.csv"), "dir": str(tmp_path),
                 "out": str(tmp_path / "out"),
-                **{name: str(tmp_path / f"{name}.json") for name in configs}}
+                **{name: str(tmp_path / f"{name}.json") for name in configs},
+                **{name: str(tmp_path / f"{name}.csv") for name in labels}}
 
     @pytest.mark.parametrize("argv, message", [
         ("pairsets --data {missing}", "No such file or directory"),
@@ -457,6 +470,12 @@ class TestInputErrors:
         ("train --data {data} --out-dir {out}", "--seed is required for training"),
         ("lambda-sweep --data {data} --out {out}", "--seed is required for training"),
         ("generate --n 2 --seed 0 --out {out}", "n must be >= 4"),
+        ("evaluate --checkpoint {ckpt} --data {two_events} --out {out}",
+         "ordinality needs >= 3 uncensored patients, got 2"),
+        ("evaluate --checkpoint {ckpt} --data {late_events} --out {out}",
+         "AUC at horizon 15.0: 0 cases, 45 controls"),
+        ("evaluate --checkpoint {ckpt} --data {last_events} --out {out}",
+         "concordance index: no comparable pairs in the input"),
     ])
     def test_one_error_line(self, paths, capsys, monkeypatch, argv, message):
         trained = []
@@ -644,11 +663,30 @@ def run_python(code, *args, **env_vars) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
+# numpy 2.4 imports numpy.ma (12-20 ms) on the first np.unique of floats
+NUMPY_MA_AFTER_CALLS = """
+import sys
+import numpy as np
+from survrnc.core import discretize_time
+from survrnc.data import sample_batch, sampling_weights
+from survrnc.metrics import concordance_index
+rng = np.random.default_rng(0)
+times, events = np.ceil(10 * rng.exponential(1.0, 200)), rng.integers(0, 2, 200)
+discretize_time(times, events, 8)
+concordance_index(rng.standard_normal(200), events, times)
+sample_batch(200, 32, sampling_weights(events, "event_balanced"), 0, 0)
+print("numpy.ma" in sys.modules)
+"""
+
+
 class TestImportCost:
     def test_package_and_cli_do_not_load_scipy(self):
         code = ("import sys, survrnc, survrnc.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert run_python(code).strip() == "[]"
+
+    def test_grid_concordance_and_sampling_do_not_load_numpy_ma(self):
+        assert run_python(NUMPY_MA_AFTER_CALLS).strip() == "False"
 
 
 class TestPublicSurface:
@@ -702,6 +740,36 @@ class TestBlasThreads:
                     == (tmp_path / "2" / name).read_bytes()), name
 
 
+# evaluate on a held-out set of about 700 uncensored patients, 245k pairs,
+# so that the ordinality passes run on the worker thread, in a child
+# pinned to one CPU (before numpy loads, so OpenBLAS takes one thread too)
+# or not
+EVALUATE_ON_CPUS = """
+import os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from survrnc.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestWorkerThread:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins the child to one CPU")
+    def test_evaluate_on_one_cpu_writes_the_same_report(self, tmp_path):
+        ds, _ = generate_synthetic(SynthConfig(n=1000, d_in=3, target_censoring=0.3, seed=5))
+        save_csv(ds, tmp_path / "data.csv")
+        assert main(["train", "--data", str(tmp_path / "data.csv"), "--seed", "0",
+                     "--epochs", "1", "--out-dir", str(tmp_path)]) == 0
+        for cpus in ("pinned", "all"):
+            run_python(EVALUATE_ON_CPUS, cpus, "evaluate",
+                       "--checkpoint", str(tmp_path / "checkpoint.json"),
+                       "--data", str(tmp_path / "data.csv"),
+                       "--out", str(tmp_path / f"{cpus}.json"))
+        report = json.loads((tmp_path / "all.json").read_text())
+        assert report["ordinality_pairs"] > 2**16 and report["ordinality_exact"]
+        assert (tmp_path / "pinned.json").read_bytes() == (tmp_path / "all.json").read_bytes()
+
+
 FAULTS_DURING_TRAINING = """
 import resource, sys
 from survrnc import pairsets, trainer
@@ -738,9 +806,43 @@ libc.free(block)
 """
 
 
+# prints how many heaps (arenas) glibc's malloc_info lists once a second
+# thread has taken 1 MiB: 2 at glibc's defaults, where that thread gets an
+# arena of its own, 1 once `_settle_allocator` has capped them at one
+HEAP_PROBE = """
+import ctypes, sys, threading
+from survrnc import trainer
+if sys.argv[1] == "settled":
+    trainer._settle_allocator()
+libc = ctypes.CDLL(None)
+libc.malloc.argtypes = (ctypes.c_size_t,)
+libc.malloc.restype = ctypes.c_void_p
+libc.free.argtypes = (ctypes.c_void_p,)
+libc.open_memstream.argtypes = (ctypes.POINTER(ctypes.c_char_p),
+                                ctypes.POINTER(ctypes.c_size_t))
+libc.open_memstream.restype = ctypes.c_void_p
+libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+libc.fclose.argtypes = (ctypes.c_void_p,)
+blocks = []
+worker = threading.Thread(target=lambda: blocks.append(libc.malloc(1 << 20)))
+worker.start()
+worker.join()
+text, size = ctypes.c_char_p(), ctypes.c_size_t()
+stream = libc.open_memstream(ctypes.byref(text), ctypes.byref(size))
+libc.malloc_info(0, stream)
+libc.fclose(stream)
+print(text.value.decode().count("<heap nr="))
+libc.free(blocks[0])
+"""
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="sets glibc malloc thresholds")
 class TestAllocator:
+    def test_a_second_thread_takes_from_the_same_heap(self):
+        assert run_python(HEAP_PROBE, "default").strip() == "2"
+        assert run_python(HEAP_PROBE, "settled").strip() == "1"
+
     @pytest.mark.skipif(tuple(int(part) for part in platform.libc_ver()[1].split(".")
                               if part.isdigit()) < (2, 33),
                         reason="mallinfo2 is glibc 2.33 and later")

@@ -15,7 +15,7 @@ from survrnc.core import (
     TimeGrid,
     ValidationError,
     discretize_time,
-    sq_distance_blocks,
+    sq_distance_rows,
 )
 
 
@@ -182,8 +182,9 @@ def assembled(v, rows):
     entries no block covers (below the blocks' diagonals) are NaN."""
     n = v.shape[0]
     full = np.full((n, n), np.nan)
-    for start, block in zip(range(0, n, rows), sq_distance_blocks(v, rows),
-                            strict=True):
+    blocks = sq_distance_rows(v)
+    for start in range(0, n, rows):
+        block = blocks(start, start + rows)
         assert block.shape == (min(rows, n - start), n - start)
         full[start:start + block.shape[0], start:] = block
     return full
@@ -230,7 +231,7 @@ class TestSqDistanceBlocks:
         v = rng.standard_normal((12, 5)) + 1e6
         v[[3, 7, 11]] = v[0]
         v[9] = v[4]
-        got, = sq_distance_blocks(v, 12)
+        got = sq_distance_rows(v)(0, 12)
         same = (v[:, None, :] == v[None, :, :]).all(axis=2)
         assert np.all(got[same] == 0.0)
         assert np.all(got[~same] > 0.0)
@@ -240,7 +241,7 @@ class TestSqDistanceBlocks:
         for n in (2, 3, 64, 129, 256):
             v = rng.standard_normal((n, 32)) * 3.0
             v[1::2] = v[::2][: n // 2] + 1e-3 * rng.standard_normal((n // 2, 32))
-            got, = sq_distance_blocks(v, n)
+            got = sq_distance_rows(v)(0, n)
             assert np.array_equal(got, got.T)
             assert np.all(got >= 0.0) and np.all(np.diag(got) == 0.0)
 
@@ -248,7 +249,7 @@ class TestSqDistanceBlocks:
     @settings(max_examples=100, deadline=None)
     def test_just_below_kappa_is_the_direct_difference(self, seed, d):
         v = kappa_pair(np.random.default_rng(seed), d, GUARD_KAPPA * (1 - 1e-6))
-        got, = sq_distance_blocks(v, 5)
+        got = sq_distance_rows(v)(0, 5)
         diff = v[:1] - v[1:2]
         assert got[0, 1] == np.einsum("ij,ij->i", diff, diff)[0]
 
@@ -256,6 +257,6 @@ class TestSqDistanceBlocks:
     @settings(max_examples=100, deadline=None)
     def test_just_above_kappa_is_within_the_bound(self, seed, d):
         v = kappa_pair(np.random.default_rng(seed), d, GUARD_KAPPA * (1 + 1e-6))
-        got, = sq_distance_blocks(v, 5)
+        got = sq_distance_rows(v)(0, 5)
         want = direct_sq_distances(v)[0, 1]
         assert abs(got[0, 1] - want) <= (2 / GUARD_KAPPA + 1) * gamma(d + 2) * want

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import threading
 import types
 import warnings
 
@@ -462,6 +463,92 @@ class TestOrdinalityExact:
         assert embedding_ordinality(emb, events, times) == exact_ordinality(emb, events, times)
 
 
+def inline_halves(n, work):
+    """`metrics._in_halves` without the worker thread: both halves here."""
+    h = metrics._half(n)
+    return work(0, h), work(h, n)
+
+
+class TestOrdinalityThreads:
+    """Each pass of `embedding_ordinality` runs its second half on one
+    worker thread (`metrics._in_halves`); that changes nothing but when
+    the work is done."""
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    @pytest.mark.parametrize("days, dup", [(True, False), (False, False),
+                                           (False, True), (True, True)])
+    def test_equals_both_halves_inline(self, block, days, dup, monkeypatch):
+        # short blocks put the split inside runs and tie groups
+        monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", block)
+        emb, events, times = grid_cohort(60, block, days, dup)
+        threaded = embedding_ordinality(emb, events, times)
+        monkeypatch.setattr(metrics, "_in_halves", inline_halves)
+        assert embedding_ordinality(emb, events, times) == threaded
+
+    @pytest.mark.parametrize("n", [0, 1, 2**16, 2**16 + 1, 2**17, 2**17 + 1, 10**6])
+    def test_halves_tile_the_range_at_a_block_edge(self, n):
+        h = metrics._half(n)
+        assert 0 <= h <= n and (h % metrics._BLOCK_ENTRIES == 0 or h == n)
+        assert (h == n) == (n <= metrics._BLOCK_ENTRIES)
+        assert metrics._in_halves(n, lambda lo, hi: (lo, hi)) == ((0, h), (h, n))
+
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        emb, events, times = grid_cohort(700, 0, days=True)
+        k = ordinality_subset(events).size
+        assert k * (k - 1) // 2 > metrics._BLOCK_ENTRIES  # so the pairs are split
+        assert embedding_ordinality(emb, events, times) == exact_ordinality(emb, events, times)
+        assert threading.active_count() == before
+
+    def test_error_in_the_second_half_reaches_the_caller(self, monkeypatch):
+        def work(lo, hi):
+            if lo > 0:
+                raise MemoryError("second half")
+            return hi
+
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="second half"):
+            metrics._in_halves(10**6, work)
+        differences = metrics._time_differences
+
+        def fail_on_the_worker(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker")
+            return differences(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 5)
+        monkeypatch.setattr(metrics, "_time_differences", fail_on_the_worker)
+        with pytest.raises(MemoryError, match="worker"):
+            embedding_ordinality(*grid_cohort(60, 0))
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_under_a_short_switch_interval(self):
+        # four callers on two cores, each with its own worker, thread
+        # switches every microsecond: every value is still the oracle's
+        cohorts = [grid_cohort(80, seed, days=seed % 2 == 0, dup=seed > 1) for seed in range(4)]
+        want = [[exact_ordinality(*cohort)] * 5 for cohort in cohorts]
+        got = [[] for _ in cohorts]
+
+        def call(k):
+            for _ in range(5):
+                got[k].append(embedding_ordinality(*cohorts[k]))
+
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_BLOCK_ENTRIES", 7)
+            sys.setswitchinterval(1e-6)
+            try:
+                callers = [threading.Thread(target=call, args=(k,)) for k in range(len(cohorts))]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == want
+
+
 # The peak is read from VmHWM, the high-water mark of this process's own
 # address space: ru_maxrss also keeps the RSS of the process that started
 # it (Linux carries it over fork and exec), so under pytest it read the
@@ -495,8 +582,9 @@ class TestOrdinalityMemory:
     @pytest.mark.parametrize("times", ["continuous", "days"])
     def test_peak_bytes_per_pair(self, times, allocator):
         # 1,999,000 pairs: ranking with argsort took 57-67 B per pair, the
-        # packed keys with a time-difference table 22-27; the 8-byte keys,
-        # their 4-byte order and 1-byte run flags take 14.3-14.8
+        # packed keys with a time-difference table 22-27, the 8-byte keys,
+        # their 4-byte order and 1-byte run flags 14.2-14.8; without the
+        # flags, and with a worker thread's blocks, 15.5-15.7
         assert float(run_python(ORDINALITY_PEAK_PER_PAIR, times, allocator)) < 17.5
 
 
@@ -530,7 +618,7 @@ class TestCondensedPairs:
         rng = np.random.default_rng(m)
         emb = rng.standard_normal((m, 32)) + 50.0
         emb[m // 2] = emb[0]
-        got = metrics._condensed(m, metrics.sq_distance_blocks(emb, rows))
+        got = metrics._sq_distances(emb, rows)
         want = direct_sq_distances(emb)[np.triu_indices(m, 1)]
         assert got[m // 2 - 1] == want[m // 2 - 1] == 0.0
         assert np.all(np.abs(got - want) <= 1e-12 * want)
