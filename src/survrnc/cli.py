@@ -20,10 +20,10 @@ import numpy as np
 from . import pairsets as ps
 from . import trainer
 from .core import ConfigError, ValidationError
-from .data import (_RISK_MODELS, _SAMPLER_MODES, ParseError, SynthConfig, csv_cell,
-                   generate_synthetic, load_csv, save_csv)
+from .data import (_RISK_MODELS, _SAMPLER_MODES, CalibrationFailedError, ParseError,
+                   SynthConfig, csv_cell, generate_synthetic, load_csv, save_csv)
 from .metrics import NoComparablePairsError, TooFewUncensoredError, UndefinedAtHorizonError
-from .trainer import CheckpointError, TrainConfig
+from .trainer import CheckpointError, FeatureMismatchError, TrainConfig
 
 # The train and lambda-sweep flags come from the TrainConfig fields, with
 # LossConfig and AugmentConfig flattened into them: one flag per field,
@@ -234,8 +234,9 @@ def main(argv=None) -> int:
         return args.func(args)
     # a bad file or config, or a data set on which a metric is undefined
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, ParseError,
-            ValidationError, ConfigError, CheckpointError, NoComparablePairsError,
-            UndefinedAtHorizonError, TooFewUncensoredError) as exc:
+            ValidationError, ConfigError, CheckpointError, FeatureMismatchError,
+            CalibrationFailedError, NoComparablePairsError, UndefinedAtHorizonError,
+            TooFewUncensoredError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

@@ -140,12 +140,12 @@ class LossConfig:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lam must be in [0, 1], got {self.lam}")
-        if not self.beta >= 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if not 0 <= self.beta < math.inf:
+            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 class DegenerateTimesWarning(UserWarning):

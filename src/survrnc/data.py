@@ -9,6 +9,7 @@ c / (c + rate(x)), which bisection can calibrate against the target.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,8 +51,8 @@ class SynthConfig:
             raise ConfigError(f"risk_model must be one of {_RISK_MODELS}")
         if self.risk_model == "quadratic" and self.d_in < 2:
             raise ConfigError("quadratic risk needs d_in >= 2")
-        if not self.base_rate > 0:
-            raise ConfigError("base_rate must be positive")
+        if not 0 < self.base_rate < math.inf:
+            raise ConfigError(f"base_rate must be finite and > 0, got {self.base_rate}")
         if not 0.0 <= self.target_censoring < 1.0:
             raise ConfigError("target_censoring must be in [0, 1)")
 
@@ -63,8 +64,8 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not 0.0 <= self.feature_dropout_prob < 1.0:
             raise ConfigError("feature_dropout_prob must be in [0, 1)")
 
@@ -107,7 +108,8 @@ def generate_synthetic(cfg: SynthConfig):
     risks = x @ w
     if cfg.risk_model == "quadratic":
         risks = risks + 0.5 * x[:, 0] * x[:, 1]
-    event_rates = cfg.base_rate * np.exp(risks)
+    with np.errstate(over="ignore"):  # an infinite rate fails calibration
+        event_rates = cfg.base_rate * np.exp(risks)
     event_times = rng.exponential(1.0 / event_rates)
     if cfg.target_censoring == 0.0:
         observed = event_times

@@ -12,13 +12,13 @@ within about 20 gamma_{d+2} (7e-14 at d = 32) relative of the exact one.
 
 One kernel serves every batch size in O(B^2 log B) time and O(B^2)
 memory. One sort of the anchor's row by time threshold orders every sum:
-each pair's denominator is a suffix sum from the positive's tie group,
-each member's gradient weight a prefix sum; which members count at their
-own place follows from the labels (`pairsets.exact_bounds`). A batch is
-summed in linear space (one exp, cumulative sums) unless some row's
-similarities span too wide a range for that (`LINEAR_SPREAD`); then every
-row is summed in log space, so no denominator underflows however far
-apart the embeddings lie.
+each pair's denominator is one suffix sum of the row, its members
+weighted by the labels (`pairsets.exact_bounds`) and lambda, read from the
+positive's tie group; each member's gradient share is a prefix sum. A
+batch is summed in linear space (one exp, cumulative sums) unless some
+row's similarities span too wide a range for that (`LINEAR_SPREAD`); then
+every row is summed in log space, so no denominator underflows however
+far apart the embeddings lie.
 """
 
 from __future__ import annotations
@@ -71,16 +71,19 @@ def survrnc_loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig):
 
 # A batch is summed in linear space, each row a shifted by its largest
 # x[a, k] = m (k != a), when the members of every row span S = max x - min x
-# with S + ln(B + 1) < LINEAR_SPREAD. Then every quantity the sums touch is a
-# normal double: each exp(x - m) lies in [e^-S, 1]; each sum of them,
-# d e^-m included, in [e^-S, B] (d holds p itself, so it is never 0);
-# each e^m / d in [1/B, e^S] and each prefix sum of those in [1/B, B e^S];
-# each member's weight exp(x[a, k]) / d summed over pairs, when not 0, in
-# [e^-S / B, B / lam]. ln of the smallest normal double is -708.4 and of
-# the largest 709.8, so nothing underflows or overflows, each operation
-# keeps its relative error u, and every sum is within about B u of the
-# exact one, as in log space. A batch with a wider row, whose members lie
-# more than ~700 tau apart, is summed in log space.
+# with S + ln(B + 1) < LINEAR_SPREAD. Then each exp(x - m) lies in
+# [e^-S, 1]; each d e^-m in [e^-S, B], as its addends are those weighted 1,
+# lam, 1 - lam or 0 and p weighs 1 in its own d; each e^m / d in
+# [1/B, e^S] and each prefix sum of those in [1/B, B e^S]. Each pair's
+# weighted share exp(x[a, k]) w / d of its own d is at most 1, so a
+# member's share summed over its pairs lies in [0, B]. ln of the smallest
+# normal double is -708.4 and of the largest 709.8, so nothing overflows,
+# each operation keeps its relative error u, and every sum is within about
+# B u of the exact one, as in log space. Only an addend weighted by a lam
+# or 1 - lam below about 1e-4 / B can fall below the normal range, and its
+# error, under 2^-1074, is then a fraction far below u of the sum it joins.
+# A batch with a wider row, whose members lie more than ~700 tau apart, is
+# summed in log space.
 LINEAR_SPREAD = 700.0
 
 
@@ -88,19 +91,22 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
     """The loss kernel.
 
     With x = sim / tau, the (a, p) denominator is
-        d = (1 - lam) N + lam H,
-    where N sums exp(x[a, k]) over the negatives k (lo[a, k] >= theta[a, p],
-    plus p itself when its own class is uncertain) and H over negatives and
-    uncertains (hi[a, k] >= theta[a, p]). lo[a, k] is theta[a, k] or 0 and
-    hi[a, k] is theta[a, k] or inf (`pairsets.exact_bounds` says which from
-    the labels), so one ascending sort of row a by theta orders both sums.
-    A member whose bound is theta counts at its own place. A lo = 0 member
-    counts at the first place, so it joins N only for pairs with theta = 0;
-    a hi = inf member counts at the last place, so it joins every H. N and
-    H are suffix sums read at the first place of p's tie group. The
-    gradient weight of member k, the sum of 1/d over the pairs whose N or
-    H holds k, is one prefix sum of 1/d read at the last place of the tie
-    group k counts in.
+        d = sum over k of w[k] exp(x[a, k]),
+    where p weighs 1, each negative k (lo[a, k] >= theta[a, p]) 1, each
+    uncertain k (only hi[a, k] >= theta[a, p]) lam and the others 0.
+    lo[a, k] is theta[a, k] or 0 and hi[a, k] is theta[a, k] or inf
+    (`pairsets.exact_bounds` says which from the labels), so k adds 1 - lam
+    to every d whose theta[a, p] <= lo and lam to every d whose
+    theta[a, p] <= hi, and one ascending sort of row a by theta orders
+    them all. Each member gets three weights: at its own place (1 if hi is
+    theta, and so lo; 1 - lam if only lo is), at the first place (1 - lam
+    if lo = 0: it joins only the d with theta = 0) and at the last place
+    (lam if hi = inf: it joins every d). d is one suffix sum of the
+    weighted row read at the first place of p's tie group, plus p's own
+    1 - lam when its lo is 0 (promoted, p counts in full). The gradient
+    share of member k, the sum over pairs of its w exp(x[a, k]) / d, comes
+    from one prefix sum of 1/d read at the last place of k's tie group,
+    of the first group and of the row.
     """
     v = batch.embeddings
     n = batch.size
@@ -110,10 +116,9 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
     # flat index of each row's members in ascending theta; every (B, B)
     # matrix from here on lists its rows in that order
     ranked = np.argsort(theta, axis=1) + n * rows
-    # per bound kind: members whose bound is theta, the others' place, weight
-    kinds = [(np.take(exact, ranked), place, weight) for exact, place, weight
-             in zip(exact_bounds(batch.events, batch.times), (0, -1), (1.0 - lam, lam))
-             if weight > 0]
+    lo, hi = (np.take(exact, ranked) for exact in exact_bounds(batch.events, batch.times))
+    # each member's weight at its own place, at the first and at the last
+    weights = (np.where(hi, 1.0, (1.0 - lam) * lo), (1.0 - lam) * ~lo, lam * ~hi)
     first, last = _tie_groups(np.take(theta, ranked))
     dist = np.take(np.sqrt(sq_distance_rows(v)(0, n)), ranked)
     x = -dist / tau
@@ -121,23 +126,21 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
     x[is_self] = -np.inf  # k = a never participates
 
     spread = (x.max(axis=1) + dist.max(axis=1) / tau).max() + np.log(n + 1)
-    parts = (_log_rows if spread >= LINEAR_SPREAD else _linear_rows)(
-        x, lam, kinds, first, last, is_self, want_grad)
+    log_d_less_x, share = (_log_rows if spread >= LINEAR_SPREAD else _linear_rows)(
+        x, weights, first, last, is_self, want_grad)
     # d >= exp(x[a, p]) because p sits in its own denominator with weight 1;
-    # rounding in the lam mix may undercut that by an ulp
-    terms = np.maximum(parts[0], 0.0)
+    # rounding in (1 - lam) + lam may undercut that by an ulp
+    terms = np.maximum(log_d_less_x, 0.0)
     terms[is_self] = 0.0  # p = a: no pair
     num_pairs = n * (n - 1)
     value = float(terms.sum() / num_pairs)
     if not want_grad:
         return value, None
 
-    # coeff[a, k] = d(summed terms) / d x[a, k]: the weight exp(x[a, k]) / d
-    # of k in every denominator holding it, less each pair's own x[a, p]
-    # (both split by kind, so a lone positive's terms cancel exactly)
-    coeff = np.zeros((n, n))
-    for (_, _, weight), held in zip(kinds, parts[1:]):
-        coeff += weight * (held - 1.0)
+    # coeff[a, k] = d(summed terms) / d x[a, k]: k's share of every
+    # denominator holding it, less its own pair's x[a, p] (a lone
+    # positive's share is e / d = 1 exactly, so its terms cancel exactly)
+    coeff = share - 1.0
     coeff[is_self] = 0.0
     coeff /= tau * num_pairs
 
@@ -161,76 +164,54 @@ def _tie_groups(theta):
     return first, last
 
 
-def _linear_rows(x, lam, kinds, first, last, is_self, want_grad):
-    """Rows of log d - x and, with `want_grad`, per kind, of each member's
-    weight exp(x) / d summed over the denominators holding it (a promoted
-    positive's weight in its own N included), summed in linear space."""
+def _linear_rows(x, weights, first, last, is_self, want_grad):
+    """Rows of log d - x and, with `want_grad`, of each member's share
+    exp(x) w / d summed over the denominators holding it, summed in linear
+    space."""
+    own, at_first, at_last = weights
     n = len(x)
     at = n * np.arange(n)[:, None]  # flat offset of each row
     z = x - x.max(axis=1, keepdims=True)
     z[is_self] = 0.0  # finite, so exp keeps to its vector path
     e = np.exp(z)
     e[is_self] = 0.0
-    d, outsides = None, []
-    for exact, place, _ in kinds:
-        addends = e * exact  # members counted at their own place
-        outside = e - addends  # the others, counted at `place`
-        addends[:, place] += outside.sum(axis=1)
-        # a censored anchor has no member at its own place in H, which is
-        # then its row total at every place: scan only the other rows
-        live = np.flatnonzero(exact.any(axis=1))
-        s = np.repeat(addends[:, place, None], n, axis=1)
-        s[live] = np.take(np.cumsum(addends[live, ::-1], axis=1),
-                          n - 1 - first[live] + at[:live.size])
-        if place == 0:  # p uncertain to itself: promoted to the negatives
-            s += outside
-        # d = N + lam (H - N): when H == N (no uncertain mass) d is N exactly
-        d = s if d is None else d + lam * (s - d)
-        outsides.append(outside)
-    parts = [np.log(d) - z]
-    if want_grad:
-        inv = 1.0 / d
-        inv[is_self] = 0.0  # p = a: no pair
-        held = np.take(np.cumsum(inv, axis=1), last + at)
-        # k's weight in its own pair's denominator is the quotient e / d,
-        # 1 exactly for a lone positive, so its -1 cancels exactly: the
-        # prefix sums give the other pairs holding k. A member at the first
-        # place holds its own N only when promoted.
-        own = e / d
-        others = held - inv
-        for (_, place, _), outside in zip(kinds, outsides):
-            parts.append((e - outside) * others + own + outside * (
-                held[:, :1] if place == 0 else held[:, -1:] - inv))
-    return parts
+    promoted = e * at_first
+    addends = e * own
+    addends[:, 0] += promoted.sum(axis=1)
+    addends[:, -1] += (e * at_last).sum(axis=1)
+    d = np.take(np.cumsum(addends[:, ::-1], axis=1), n - 1 - first + at) + promoted
+    log_d_less_x = np.log(d) - z
+    if not want_grad:
+        return log_d_less_x, None
+    inv = 1.0 / d
+    inv[is_self] = 0.0  # p = a: no pair
+    held = np.take(np.cumsum(inv, axis=1), last + at)
+    # k's share of its own pair's d is the quotient e / d, 1 exactly for a
+    # lone positive; the prefix sums less inv give the other pairs holding
+    # k. A member at the first place is in its own pair's d only when
+    # promoted, which e / d counts.
+    return log_d_less_x, e * (own * (held - inv) + at_first * held[:, :1]
+                              + at_last * (held[:, -1:] - inv)) + e / d
 
 
-def _log_rows(x, lam, kinds, first, last, is_self, want_grad):
+def _log_rows(x, weights, first, last, is_self, want_grad):
     """`_linear_rows` summed in log space, for batches with a row too wide
     for it."""
     n = len(x)
     at = n * np.arange(n)[:, None]
-    sums = []
-    for exact, place, _ in kinds:
-        addends = np.where(exact, x, -np.inf)
-        addends[:, place] = np.logaddexp(addends[:, place], np.logaddexp.reduce(
-            np.where(exact, -np.inf, x), axis=1))
-        suffix = np.logaddexp.accumulate(addends[:, ::-1], axis=1)
-        sums.append(np.take(suffix, n - 1 - first + at))
-    log_d = sums[0]
-    if lam < 1:
-        log_d = np.where(kinds[0][0], log_d, np.logaddexp(log_d, x))
-    if len(sums) == 2:
-        log_h = sums[1]
-        log_d = np.where(log_h > log_d, log_h + np.log(
-            lam + (1.0 - lam) * np.exp(log_d - log_h)), log_d)
-    parts = [log_d - x]
-    if want_grad:
-        neg_log_d = -log_d
-        neg_log_d[is_self] = -np.inf  # p = a: no pair
-        prefix = np.logaddexp.accumulate(neg_log_d, axis=1)
-        for exact, place, _ in kinds:
-            held = last[:, place, None]
-            parts.append(np.exp(x + np.take(prefix, held + exact * (last - held) + at)))
-        if lam < 1:  # a promoted positive also holds its own N
-            parts[1] += ~kinds[0][0] * np.exp(x - log_d)
-    return parts
+    # ln of each member's weighted exp(x); ln 0 = -inf drops a member
+    with np.errstate(divide="ignore"):
+        own, at_first, at_last = (x + np.log(w) for w in weights)
+    addends = own.copy()
+    addends[:, 0] = np.logaddexp(addends[:, 0], np.logaddexp.reduce(at_first, axis=1))
+    addends[:, -1] = np.logaddexp(addends[:, -1], np.logaddexp.reduce(at_last, axis=1))
+    log_d = np.logaddexp(np.take(np.logaddexp.accumulate(addends[:, ::-1], axis=1),
+                                 n - 1 - first + at), at_first)
+    if not want_grad:
+        return log_d - x, None
+    neg_log_d = -log_d
+    neg_log_d[is_self] = -np.inf  # p = a: no pair
+    prefix = np.logaddexp.accumulate(neg_log_d, axis=1)
+    return log_d - x, (np.exp(own + np.take(prefix, last + at))
+                       + np.exp(at_first + np.take(prefix, last[:, :1] + at))
+                       + np.exp(at_last + prefix[:, -1:]) + np.exp(at_first - log_d))

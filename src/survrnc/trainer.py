@@ -13,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,11 +85,11 @@ class TrainConfig:
         if min((*self.hidden_widths, self.d_emb)) < 1:
             raise ConfigError("hidden_widths and d_emb must be positive")
         for name in ("lr", "deephit_sigma"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name in ("weight_decay", "deephit_rank_weight"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)

@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from survrnc import heads, nn, pairsets, trainer
 from survrnc.cli import build_parser, main
 from survrnc.data import load_csv, save_csv, SynthConfig, generate_synthetic
 from survrnc.core import Dataset, Patient
-from survrnc.trainer import FeatureMismatchError, TrainConfig
+from survrnc.trainer import TrainConfig
 
 from oracles import build_pair_sets
 
@@ -331,21 +332,25 @@ class TestFeatureNames:
         return path
 
     @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
-    def test_renamed_column_rejected(self, trained_dir, renamed_csv, tmp_path,
+    def test_renamed_column_rejected(self, trained_dir, renamed_csv, tmp_path, capsys,
                                      command):
         out = tmp_path / "out"
-        with pytest.raises(FeatureMismatchError, match="column 2 is 'age'.*'x2'"):
+        with pytest.raises(SystemExit) as exc:
             main([command, "--checkpoint", str(trained_dir / "checkpoint.json"),
                   "--data", str(renamed_csv), "--out", str(out)])
+        assert exc.value.code == 2
+        assert re.search("column 2 is 'age'.*'x2'", capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
     def test_reordered_columns_rejected(self, trained_dir, reordered_csv,
-                                       tmp_path, command):
+                                       tmp_path, capsys, command):
         out = tmp_path / "out"
-        with pytest.raises(FeatureMismatchError, match="column 2 is 'x3'.*'x2'"):
+        with pytest.raises(SystemExit) as exc:
             main([command, "--checkpoint", str(trained_dir / "checkpoint.json"),
                   "--data", str(reordered_csv), "--out", str(out)])
+        assert exc.value.code == 2
+        assert re.search("column 2 is 'x3'.*'x2'", capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -452,13 +457,13 @@ class TestInputErrors:
         ("train --data {data} --config {zero_emb} --seed 0 --out-dir {out}",
          "hidden_widths and d_emb must be positive"),
         ("train --data {data} --config {negative_lr} --seed 0 --out-dir {out}",
-         "lr must be > 0, got -1"),
+         "lr must be finite and > 0, got -1"),
         ("train --data {data} --config {negative_decay} --seed 0 --out-dir {out}",
-         "weight_decay must be >= 0, got -1"),
+         "weight_decay must be finite and >= 0, got -1"),
         ("train --data {data} --config {zero_sigma} --seed 0 --out-dir {out}",
-         "deephit_sigma must be > 0, got 0"),
+         "deephit_sigma must be finite and > 0, got 0"),
         ("lambda-sweep --data {data} --config {negative_rank} --seed 0 --out {out}",
-         "deephit_rank_weight must be >= 0, got -1"),
+         "deephit_rank_weight must be finite and >= 0, got -1"),
         ("train --data {data} --config {lam_key} --seed 0 --out-dir {out}",
          "unknown config keys: ['loss.lam']"),
         ("evaluate --checkpoint {version_2} --data {data} --out {out}",
@@ -470,6 +475,26 @@ class TestInputErrors:
         ("train --data {data} --out-dir {out}", "--seed is required for training"),
         ("lambda-sweep --data {data} --out {out}", "--seed is required for training"),
         ("generate --n 2 --seed 0 --out {out}", "n must be >= 4"),
+        ("generate --n 200 --seed 0 --base-rate inf --out {out}",
+         "base_rate must be finite and > 0, got inf"),
+        ("generate --n 200 --seed 0 --base-rate 1e308 --out {out}",
+         "target censoring 0.3 not bracketed by rates"),
+        ("train --data {data} --noise-std nan --seed 0 --out-dir {out}",
+         "noise_std must be finite and >= 0, got nan"),
+        ("train --data {data} --noise-std inf --seed 0 --out-dir {out}",
+         "noise_std must be finite and >= 0, got inf"),
+        ("train --data {data} --temperature inf --seed 0 --out-dir {out}",
+         "temperature must be finite and > 0, got inf"),
+        ("train --data {data} --beta inf --seed 0 --out-dir {out}",
+         "beta must be finite and >= 0, got inf"),
+        ("train --data {data} --lr inf --seed 0 --out-dir {out}",
+         "lr must be finite and > 0, got inf"),
+        ("train --data {data} --weight-decay inf --seed 0 --out-dir {out}",
+         "weight_decay must be finite and >= 0, got inf"),
+        ("train --data {data} --head deephit --deephit-sigma inf --seed 0 --out-dir {out}",
+         "deephit_sigma must be finite and > 0, got inf"),
+        ("lambda-sweep --data {data} --deephit-rank-weight inf --seed 0 --out {out}",
+         "deephit_rank_weight must be finite and >= 0, got inf"),
         ("evaluate --checkpoint {ckpt} --data {two_events} --out {out}",
          "ordinality needs >= 3 uncensored patients, got 2"),
         ("evaluate --checkpoint {ckpt} --data {late_events} --out {out}",

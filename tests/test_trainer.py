@@ -493,11 +493,11 @@ class TestTrainConfigDict:
         ({"hidden_widths": [0]}, "hidden_widths and d_emb must be positive"),
         ({"hidden_widths": [8, 0, 4]}, "hidden_widths and d_emb must be positive"),
         ({"d_emb": 0}, "hidden_widths and d_emb must be positive"),
-        ({"lr": 0}, "lr must be > 0, got 0"),
-        ({"lr": -1}, "lr must be > 0, got -1"),
-        ({"weight_decay": -1}, "weight_decay must be >= 0, got -1"),
-        ({"head": "deephit", "deephit_sigma": 0}, "deephit_sigma must be > 0, got 0"),
-        ({"deephit_rank_weight": -1}, "deephit_rank_weight must be >= 0, got -1"),
+        ({"lr": 0}, "lr must be finite and > 0, got 0"),
+        ({"lr": -1}, "lr must be finite and > 0, got -1"),
+        ({"weight_decay": -1}, "weight_decay must be finite and >= 0, got -1"),
+        ({"head": "deephit", "deephit_sigma": 0}, "deephit_sigma must be finite and > 0, got 0"),
+        ({"deephit_rank_weight": -1}, "deephit_rank_weight must be finite and >= 0, got -1"),
     ])
     def test_value_out_of_bounds_rejected(self, data, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
