@@ -23,7 +23,7 @@ from .core import ConfigError, ValidationError
 from .data import (_RISK_MODELS, _SAMPLER_MODES, CalibrationFailedError, ParseError,
                    SynthConfig, csv_cell, generate_synthetic, load_csv, save_csv)
 from .metrics import NoComparablePairsError, TooFewUncensoredError, UndefinedAtHorizonError
-from .trainer import CheckpointError, FeatureMismatchError, TrainConfig
+from .trainer import CheckpointError, FeatureMismatchError, NonFiniteLossError, TrainConfig
 
 # The train and lambda-sweep flags come from the TrainConfig fields, with
 # LossConfig and AugmentConfig flattened into them: one flag per field,
@@ -232,11 +232,11 @@ def main(argv=None) -> int:
     trainer._settle_allocator()
     try:
         return args.func(args)
-    # a bad file or config, or a data set on which a metric is undefined
+    # a bad file or config, a metric undefined on the data, a diverged run
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, ParseError,
             ValidationError, ConfigError, CheckpointError, FeatureMismatchError,
             CalibrationFailedError, NoComparablePairsError, UndefinedAtHorizonError,
-            TooFewUncensoredError) as exc:
+            TooFewUncensoredError, NonFiniteLossError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

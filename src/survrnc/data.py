@@ -108,8 +108,11 @@ def generate_synthetic(cfg: SynthConfig):
     risks = x @ w
     if cfg.risk_model == "quadratic":
         risks = risks + 0.5 * x[:, 0] * x[:, 1]
-    with np.errstate(over="ignore"):  # an infinite rate fails calibration
+    with np.errstate(over="ignore"):  # an infinite rate is rejected next
         event_rates = cfg.base_rate * np.exp(risks)
+    if overflowed := np.count_nonzero(~np.isfinite(event_rates)):
+        raise ConfigError(f"base_rate {cfg.base_rate} is too large: the event rate base_rate"
+                          f" * exp(risk) overflows for {overflowed} of {cfg.n} patients")
     event_times = rng.exponential(1.0 / event_rates)
     if cfg.target_censoring == 0.0:
         observed = event_times

@@ -19,7 +19,7 @@ import numpy as np
 
 
 def delta_bound_matrices(events: np.ndarray, times: np.ndarray):
-    """(lo, hi, theta) matrices for a whole batch.
+    """(lo, hi, theta) matrices of a whole batch, for tests and the benchmark.
 
     lo/hi[i, j] bound |true time i - true time j| while each true time
     ranges over [T, T] if uncensored and [T, inf) if censored; theta[i, j]
@@ -50,41 +50,28 @@ def exact_bounds(events: np.ndarray, times: np.ndarray):
 
 
 def pair_set_masks(events: np.ndarray, times: np.ndarray):
-    """Vectorized membership masks for all (a, p, k) triples of a batch.
-
-    Returns boolean tensors (negative, uncertain) of shape (B, B, B) with
-    the k = p self-promotion already applied, k = a slots and the
-    meaningless p = a rows cleared. Must agree everywhere with the oracle,
-    the scalar interval classifier of pair sets in `tests/oracles.py`.
-    O(B^3) memory: for checking the loss kernel, which works from
-    `exact_bounds`; `anchor_pair_sets` gives the same masks one anchor at
-    a time.
-    """
-    bounds = delta_bound_matrices(events, times)
-    return _classify(*bounds, np.arange(bounds[0].shape[0]))
+    """(negative, uncertain) boolean (B, B, B) masks of every (anchor,
+    positive, member) triple: those of `anchor_pair_sets` stacked. O(B^3)
+    memory, for the tests and the benchmark."""
+    n = len(np.asarray(times))
+    neg, unc = np.zeros((2, n, n, n), dtype=bool)
+    for a, masks in enumerate(anchor_pair_sets(events, times)):
+        neg[a], unc[a] = masks
+    return neg, unc
 
 
 def anchor_pair_sets(events: np.ndarray, times: np.ndarray) -> Iterator[tuple]:
-    """(negative, uncertain) (B, B) masks of each anchor a in turn: the
-    [a] slices of `pair_set_masks`, in O(B^2) memory."""
-    bounds = delta_bound_matrices(events, times)
-    for a in range(bounds[0].shape[0]):
-        neg, unc = _classify(*bounds, np.array([a]))
-        yield neg[0], unc[0]
-
-
-def _classify(lo, hi, theta, anchors):
-    """The pair-set rule for the anchors listed in `anchors`: masks of
-    shape (len(anchors), B, B) indexed [anchor, positive, member]."""
-    n = theta.shape[0]
-    lo, hi, theta = lo[anchors, None, :], hi[anchors, None, :], theta[anchors, :, None]
-    neg = lo >= theta
-    unc = ~neg & (hi >= theta)
-    idx = np.arange(n)
-    neg[:, idx, idx] = True   # k = p is never disregarded; promote
-    unc[:, idx, idx] = False
-    block = np.arange(len(anchors))
-    for mask in (neg, unc):
-        mask[block, :, anchors] = False  # k = a never participates
-        mask[block, anchors, :] = False  # p = a is not a pair
-    return neg, unc
+    """(negative, uncertain) (B, B) masks [positive, member] of each anchor
+    a in turn, in O(B^2) memory: k is negative for (a, p) when its lo
+    (theta[a, k] if exact, else 0) is >= theta[a, p], and uncertain when
+    not negative and its hi (theta[a, k] if exact, else inf) is."""
+    times = np.asarray(times, dtype=float)
+    for a, (lo_exact, hi_exact) in enumerate(zip(*exact_bounds(events, times))):
+        theta = np.abs(times[a] - times)
+        neg = np.where(lo_exact, theta, 0.0) >= theta[:, None]
+        unc = ~neg & (np.where(hi_exact, theta, np.inf) >= theta[:, None])
+        np.fill_diagonal(neg, True)   # k = p is never disregarded; promote
+        np.fill_diagonal(unc, False)
+        # k = a never participates, and p = a is not a pair
+        neg[:, a] = neg[a] = unc[:, a] = unc[a] = False
+        yield neg, unc

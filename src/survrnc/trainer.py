@@ -32,6 +32,8 @@ _LOSS_KEYS = ("loss_prognosis", "loss_survrnc", "loss_total")
 VAL_FRACTION = 0.2
 # a config field's key in a config file, where it differs from the field name
 _JSON_KEYS = {"lam": "lambda"}
+# numpy's errstate where a `_check_finite` of the result follows and names the step
+_UNCHECKED = {"over": "ignore", "invalid": "ignore"}
 
 
 class NonFiniteLossError(RuntimeError):
@@ -50,8 +52,8 @@ class FeatureMismatchError(ValueError):
     """A dataset's feature columns differ from the ones a model was trained on."""
 
 
-def _check_finite(step: int, what: str, values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+def _check_finite(step: int, what: str, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(values).all() for values in arrays):
         raise NonFiniteLossError(step, what)
 
 
@@ -253,9 +255,10 @@ def train_step(encoder: nn.ModelParams, head: nn.ModelParams, views: np.ndarray,
     plus beta times the contrastive one. Raises `NonFiniteLossError` at
     `step` on a non-finite embedding, logit or loss."""
     beta = cfg.loss.beta
-    emb, enc_tape = nn.forward(encoder, views)
+    with np.errstate(**_UNCHECKED):
+        emb, enc_tape = nn.forward(encoder, views)
+        logits, head_tape = nn.forward(head, emb)
     _check_finite(step, "embeddings", emb)
-    logits, head_tape = nn.forward(head, emb)
     _check_finite(step, "head logits", logits)
     if cfg.head == "deephit":
         prog_value, dlogits = heads.deephit_loss_and_grad(
@@ -319,14 +322,19 @@ def train(dataset: Dataset, cfg: TrainConfig):
                                               times[idx], aug)
             losses, enc_grads, head_grads = train_step(encoder, head, views, ev2, t2,
                                                        grid, cfg, step)
-            encoder, enc_state = nn.adam_step(encoder, *enc_grads, enc_state,
-                                              cfg.lr, cfg.weight_decay)
-            head, head_state = nn.adam_step(head, *head_grads, head_state,
-                                            cfg.lr, cfg.weight_decay)
+            with np.errstate(**_UNCHECKED):
+                encoder, enc_state = nn.adam_step(encoder, *enc_grads, enc_state,
+                                                  cfg.lr, cfg.weight_decay)
+                head, head_state = nn.adam_step(head, *head_grads, head_state,
+                                                cfg.lr, cfg.weight_decay)
+            # a gradient whose square overflows would freeze its parameter
+            _check_finite(step, "gradient (AdamW second moment)", *enc_state.v, *head_state.v)
             history.steps.append({"step": step, **dict(zip(_LOSS_KEYS, losses))})
 
         model = TrainedModel(encoder, head, grid, dataset.feature_names)
-        val_risks, _ = _model_risks(model, val_features)
+        with np.errstate(**_UNCHECKED):
+            val_risks, _ = _model_risks(model, val_features)
+        _check_finite(step, "validation risks", val_risks)
         try:
             val_ci = metrics.concordance_index(val_risks, val_events, val_times)
         except metrics.NoComparablePairsError:

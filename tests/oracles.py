@@ -7,6 +7,9 @@ the references for the GEMM distances and the blocked time differences
 of the production code. `build_pair_sets` is the scalar interval
 classifier: one `classify` call per batch member, by interval arithmetic
 on `TimeInterval`s; `pair_set_masks` must agree with it everywhere.
+`broadcast_pair_sets` applies the pair-set rule to the float bound
+matrices of `delta_bound_matrices` in one broadcast comparison, the
+reference for `anchor_pair_sets`, which reads the rule from the labels.
 `dense_loss_and_grad` evaluates the contrastive loss over explicit
 (B, B, B) membership tensors in O(B^3) time and memory, and
 `pair_likelihood` evaluates one (anchor, positive) pair from its index
@@ -44,7 +47,7 @@ from survrnc.metrics import (
     UndefinedAtHorizonError,
     ordinality_subset,
 )
-from survrnc.pairsets import pair_set_masks
+from survrnc.pairsets import delta_bound_matrices, pair_set_masks
 
 
 class LengthMismatchError(ValueError):
@@ -169,6 +172,24 @@ def build_pair_sets(batch: Sequence[Patient], a: int, p: int) -> PairSets:
         elif cls is PairClass.UNCERTAIN:
             uncertains.add(k)
     return PairSets(frozenset(negatives), frozenset(uncertains))
+
+
+def broadcast_pair_sets(events: np.ndarray, times: np.ndarray):
+    """(negative, uncertain) masks of shape (B, B, B), indexed [anchor,
+    positive, member], compared on the (lo, hi, theta) matrices: k is
+    negative for (a, p) when lo[a, k] >= theta[a, p], uncertain when not
+    negative and hi[a, k] >= theta[a, p]; k = p promoted, k = a and p = a
+    cleared."""
+    lo, hi, theta = delta_bound_matrices(events, times)
+    neg = lo[:, None, :] >= theta[:, :, None]
+    unc = ~neg & (hi[:, None, :] >= theta[:, :, None])
+    idx = np.arange(theta.shape[0])
+    neg[:, idx, idx] = True   # k = p is never disregarded; promote
+    unc[:, idx, idx] = False
+    for mask in (neg, unc):
+        mask[idx, :, idx] = False  # k = a never participates
+        mask[idx, idx, :] = False  # p = a is not a pair
+    return neg, unc
 
 
 # integer codes of `classification_tensor`

@@ -478,7 +478,11 @@ class TestInputErrors:
         ("generate --n 200 --seed 0 --base-rate inf --out {out}",
          "base_rate must be finite and > 0, got inf"),
         ("generate --n 200 --seed 0 --base-rate 1e308 --out {out}",
-         "target censoring 0.3 not bracketed by rates"),
+         "base_rate 1e+308 is too large: the event rate base_rate * exp(risk) "
+         "overflows for 47 of 200 patients"),
+        ("generate --n 200 --seed 0 --base-rate 1e308 --target-censoring 0 --out {out}",
+         "base_rate 1e+308 is too large: the event rate base_rate * exp(risk) "
+         "overflows for 47 of 200 patients"),
         ("train --data {data} --noise-std nan --seed 0 --out-dir {out}",
          "noise_std must be finite and >= 0, got nan"),
         ("train --data {data} --noise-std inf --seed 0 --out-dir {out}",
@@ -524,6 +528,37 @@ class TestInputErrors:
         with pytest.raises(ValueError, match="a bug"):
             main(["train", "--data", str(data_csv), "--seed", "0",
                   "--out-dir", str(tmp_path / "out")])
+
+
+class TestDivergedRuns:
+    """A training run that diverges ends with one error line naming the
+    step, exit status 2 and no output file, and no numpy warning on the
+    way (the suite turns a RuntimeWarning into an error)."""
+
+    @pytest.fixture(scope="class")
+    def d60(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("d60") / "d60.csv"
+        assert main(["generate", "--n", "60", "--seed", "0", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("flags, message", [
+        # the parameters overflow in the update; the epoch's validation
+        # risks are the first values computed from them
+        ("--lr 1e300 --epochs 2", "non-finite validation risks at step 1"),
+        ("--lr 1e300 --batch-size 8 --epochs 1", "non-finite embeddings at step 2"),
+        # a gradient above ~1.3e154 makes its AdamW second moment inf, and
+        # the parameter would stop moving
+        ("--temperature 1e-300 --epochs 2",
+         "non-finite gradient (AdamW second moment) at step 1"),
+    ])
+    def test_one_error_line(self, d60, tmp_path, capsys, flags, message):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(d60), "--seed", "0", "--out-dir", str(out),
+                  *flags.split()])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"survrnc: error: {message}\n"
+        assert not out.exists()
 
 
 PINNED_PAIRSETS = """\

@@ -14,6 +14,7 @@ from oracles import (
     UNCERTAIN_CODE,
     PairClass,
     TimeInterval,
+    broadcast_pair_sets,
     build_pair_sets,
     classification_tensor,
     classify,
@@ -243,14 +244,20 @@ class TestBoundIdentity:
         assert lo_exact.diagonal().all()
         assert np.array_equal(hi_exact.diagonal(), events == 1)
 
-    @given(label_rows)
-    @settings(max_examples=50)
-    def test_anchor_rows_are_slices_of_the_masks(self, rows):
+    @given(label_rows, st.sampled_from(["drawn", "none", "all"]))
+    @settings(max_examples=200)
+    def test_anchor_pair_sets_match_the_broadcast_oracle(self, rows, censored):
+        # the rule read from the labels against the same rule compared on
+        # the float bound matrices, with no, all or a drawn share censored
         events, times = label_arrays(rows)
-        neg, unc = pair_set_masks(events, times)
-        for a, (neg_a, unc_a) in enumerate(anchor_pair_sets(events, times)):
-            assert np.array_equal(neg_a, neg[a])
-            assert np.array_equal(unc_a, unc[a])
+        if censored != "drawn":
+            events[:] = censored == "none"
+        want_neg, want_unc = broadcast_pair_sets(events, times)
+        anchors = list(anchor_pair_sets(events, times))
+        assert len(anchors) == len(times)
+        for a, (neg, unc) in enumerate(anchors):
+            assert np.array_equal(neg, want_neg[a])
+            assert np.array_equal(unc, want_unc[a])
 
 
 class TestProperties:
