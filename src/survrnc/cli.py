@@ -19,11 +19,10 @@ import numpy as np
 
 from . import pairsets as ps
 from . import trainer
-from .core import ConfigError, ValidationError
-from .data import (_RISK_MODELS, _SAMPLER_MODES, CalibrationFailedError, ParseError,
-                   SynthConfig, csv_cell, generate_synthetic, load_csv, save_csv)
-from .metrics import NoComparablePairsError, TooFewUncensoredError, UndefinedAtHorizonError
-from .trainer import CheckpointError, FeatureMismatchError, NonFiniteLossError, TrainConfig
+from .core import ConfigError, InputError
+from .data import (_RISK_MODELS, _SAMPLER_MODES, SynthConfig, csv_cell,
+                   generate_synthetic, load_csv, save_csv)
+from .trainer import TrainConfig
 
 # The train and lambda-sweep flags come from the TrainConfig fields, with
 # LossConfig and AugmentConfig flattened into them: one flag per field,
@@ -232,11 +231,8 @@ def main(argv=None) -> int:
     trainer._settle_allocator()
     try:
         return args.func(args)
-    # a bad file or config, a metric undefined on the data, a diverged run
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ParseError,
-            ValidationError, ConfigError, CheckpointError, FeatureMismatchError,
-            CalibrationFailedError, NoComparablePairsError, UndefinedAtHorizonError,
-            TooFewUncensoredError, NonFiniteLossError) as exc:
+    # a file that cannot be read, or an input the command cannot take
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

@@ -51,7 +51,11 @@ class Violation:
         return f"{self.code}({who}): {self.detail}"
 
 
-class ValidationError(ValueError):
+class InputError(Exception):
+    """The user's input is at fault: `cli.main` prints one line, exits 2."""
+
+
+class ValidationError(ValueError, InputError):
     """Raised when a `Dataset` is built; carries every violation found."""
 
     def __init__(self, violations: Sequence[Violation]):
@@ -62,7 +66,7 @@ class ValidationError(ValueError):
         return {v.code for v in self.violations}
 
 
-class ConfigError(ValueError):
+class ConfigError(ValueError, InputError):
     """Raised when a config is built with a key or value it cannot take."""
 
 

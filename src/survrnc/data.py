@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, Dataset, Patient
+from .core import ConfigError, Dataset, InputError, Patient
 
 _RISK_MODELS = ("linear", "quadratic")
 _SAMPLER_MODES = ("uniform", "event_balanced")
 
 
-class ParseError(ValueError):
+class ParseError(ValueError, InputError):
     def __init__(self, message: str, row: int | None = None, col: str | None = None):
         self.row = row
         self.col = col
@@ -29,7 +29,7 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
-class CalibrationFailedError(RuntimeError):
+class CalibrationFailedError(RuntimeError, InputError):
     pass
 
 
@@ -108,12 +108,15 @@ def generate_synthetic(cfg: SynthConfig):
     risks = x @ w
     if cfg.risk_model == "quadratic":
         risks = risks + 0.5 * x[:, 0] * x[:, 1]
-    with np.errstate(over="ignore"):  # an infinite rate is rejected next
+    with np.errstate(over="ignore", divide="ignore"):  # rejected next
         event_rates = cfg.base_rate * np.exp(risks)
-    if overflowed := np.count_nonzero(~np.isfinite(event_rates)):
-        raise ConfigError(f"base_rate {cfg.base_rate} is too large: the event rate base_rate"
-                          f" * exp(risk) overflows for {overflowed} of {cfg.n} patients")
-    event_times = rng.exponential(1.0 / event_rates)
+        mean_times = 1.0 / event_rates
+    if overflowed := np.count_nonzero(~(np.isfinite(event_rates) & np.isfinite(mean_times))):
+        what = ("too large: the event rate base_rate * exp(risk)" if cfg.base_rate > 1 else
+                "too small: the mean event time 1 / (base_rate * exp(risk))")
+        raise ConfigError(f"base_rate {cfg.base_rate} is {what} overflows for "
+                          f"{overflowed} of {cfg.n} patients")
+    event_times = rng.exponential(mean_times)
     if cfg.target_censoring == 0.0:
         observed = event_times
         events = np.ones(cfg.n, dtype=int)

@@ -70,7 +70,7 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .core import sq_distance_rows
+from .core import InputError, sq_distance_rows
 
 DEFAULT_HORIZON_FRACTIONS = (0.25, 0.5, 0.75)
 # largest number of uncensored pairs `embedding_ordinality` ranks; below
@@ -83,15 +83,15 @@ _BLOCK_ENTRIES = 2**16
 _T = TypeVar("_T")
 
 
-class NoComparablePairsError(ValueError):
+class NoComparablePairsError(ValueError, InputError):
     pass
 
 
-class UndefinedAtHorizonError(ValueError):
+class UndefinedAtHorizonError(ValueError, InputError):
     pass
 
 
-class TooFewUncensoredError(ValueError):
+class TooFewUncensoredError(ValueError, InputError):
     pass
 
 

@@ -190,7 +190,11 @@ def params_from_dict(data: dict) -> ModelParams:
                    data["spec"]["activation"], data["spec"]["seed"])
     weights = [np.array(w, dtype=float) for w in data["weights"]]
     biases = [np.array(b, dtype=float) for b in data["biases"]]
-    expected = list(zip(spec.layer_widths[1:], spec.layer_widths[:-1]))
-    if [w.shape for w in weights] != [tuple(s) for s in expected]:
+    outs = spec.layer_widths[1:]
+    if [w.shape for w in weights] != list(zip(outs, spec.layer_widths[:-1])):
         raise ShapeMismatchError("checkpoint weights do not match spec")
+    if [b.shape for b in biases] != [(out,) for out in outs]:
+        raise ShapeMismatchError("checkpoint biases do not match spec")
+    if not all(np.isfinite(p).all() for p in weights + biases):
+        raise ValueError("checkpoint parameters contain NaN or infinity")
     return ModelParams(spec, weights, biases)

@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import heads, loss as loss_mod, metrics, nn
-from .core import (ConfigError, Dataset, LossConfig, TimeGrid, _libc_function,
-                   discretize_time)
+from .core import (ConfigError, Dataset, InputError, LossConfig, TimeGrid,
+                   _libc_function, discretize_time)
 from .data import (_SAMPLER_MODES, AugmentConfig, sample_batch, sampling_weights,
                    two_view_augment, write_table)
 
@@ -32,11 +32,11 @@ _LOSS_KEYS = ("loss_prognosis", "loss_survrnc", "loss_total")
 VAL_FRACTION = 0.2
 # a config field's key in a config file, where it differs from the field name
 _JSON_KEYS = {"lam": "lambda"}
-# numpy's errstate where a `_check_finite` of the result follows and names the step
+# numpy's errstate where a check of the result follows and names the step or patient
 _UNCHECKED = {"over": "ignore", "invalid": "ignore"}
 
 
-class NonFiniteLossError(RuntimeError):
+class NonFiniteLossError(RuntimeError, InputError):
     """Training diverged: a value computed at `step` is NaN or infinite."""
 
     def __init__(self, step: int, what: str):
@@ -44,12 +44,14 @@ class NonFiniteLossError(RuntimeError):
         super().__init__(f"non-finite {what} at step {step}")
 
 
-class CheckpointError(ValueError):
-    """A checkpoint file of another version, or with a key missing or malformed."""
+class CheckpointError(ValueError, InputError):
+    """A checkpoint file of another version, with a key missing or malformed,
+    or with parameters that are not finite or do not fit each other."""
 
 
-class FeatureMismatchError(ValueError):
-    """A dataset's feature columns differ from the ones a model was trained on."""
+class FeatureMismatchError(ValueError, InputError):
+    """A dataset does not fit a model: its feature columns differ from the ones
+    the model was trained on, or the model's outputs on them are not finite."""
 
 
 def _check_finite(step: int, what: str, *arrays: np.ndarray) -> None:
@@ -205,6 +207,18 @@ def _check_feature_names(model: TrainedModel, dataset: Dataset) -> None:
         f"feature column {i + 1} is {have}, but the model was trained with {want}")
 
 
+def _check_outputs(dataset: Dataset, emb: np.ndarray, risks=None) -> None:
+    """Name the first patient whose embedding (or risk) is NaN or infinite."""
+    finite = np.isfinite(emb).all(axis=1)
+    if risks is not None:
+        finite &= np.isfinite(risks)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        what = "risk" if np.isfinite(emb[i]).all() else "embedding"
+        raise FeatureMismatchError(
+            f"the model's {what} of patient {dataset.patients[i].id!r} is not finite")
+
+
 def _model_risks(model: TrainedModel, features: np.ndarray):
     emb, _ = nn.forward(model.encoder, features)
     logits, _ = nn.forward(model.head, emb)
@@ -353,9 +367,12 @@ def train(dataset: Dataset, cfg: TrainConfig):
 
 
 def evaluate(model: TrainedModel, dataset: Dataset) -> metrics.EvalReport:
-    """Risk-score CI, horizon AUCs and embedding ordinality on `dataset`."""
+    """Risk-score CI, horizon AUCs and embedding ordinality on `dataset`.
+    Raises `FeatureMismatchError` if a patient's embedding or risk is not finite."""
     _check_feature_names(model, dataset)
-    risks, emb = _model_risks(model, dataset.feature_matrix())
+    with np.errstate(**_UNCHECKED):
+        risks, emb = _model_risks(model, dataset.feature_matrix())
+    _check_outputs(dataset, emb, risks)
     events, times = dataset.events(), dataset.times()
     ci = metrics.concordance_index(risks, events, times)
     auc_at = {}
@@ -370,9 +387,12 @@ def evaluate(model: TrainedModel, dataset: Dataset) -> metrics.EvalReport:
 
 
 def export_embeddings(model: TrainedModel, dataset: Dataset, path) -> None:
-    """Write one `write_table` row per patient: id, time, event, v_1..v_{d_emb}."""
+    """Write one `write_table` row per patient: id, time, event, v_1..v_{d_emb}.
+    Raises `FeatureMismatchError`, writing nothing, if an embedding is not finite."""
     _check_feature_names(model, dataset)
-    emb, _ = nn.forward(model.encoder, dataset.feature_matrix())
+    with np.errstate(**_UNCHECKED):
+        emb, _ = nn.forward(model.encoder, dataset.feature_matrix())
+    _check_outputs(dataset, emb)
     write_table(path, [f"v_{j + 1}" for j in range(emb.shape[1])], dataset.ids(),
                 dataset.times(), dataset.events(), emb)
 
@@ -413,13 +433,14 @@ def save_checkpoint(model: TrainedModel, cfg: TrainConfig, path) -> None:
 
 def load_checkpoint(path) -> TrainedModel:
     """The model `save_checkpoint` wrote to `path`. Raises `CheckpointError`
-    for a file of another version or with a key missing or malformed."""
+    for a file of another version, with a key missing or malformed, with a
+    parameter that is not finite, or with parts whose widths do not fit."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     try:
-        return TrainedModel(
+        model = TrainedModel(
             encoder=nn.params_from_dict(payload["encoder"]),
             head=nn.params_from_dict(payload["head"]),
             grid=TimeGrid(np.array(payload["grid"], dtype=float)),
@@ -429,6 +450,14 @@ def load_checkpoint(path) -> TrainedModel:
         raise CheckpointError(f"{path}: checkpoint has no key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
+    enc, head = model.encoder.spec.layer_widths, model.head.spec.layer_widths
+    for part, width, need, what in (
+            ("encoder input", enc[0], len(model.feature_names), "the number of feature names"),
+            ("head input", head[0], enc[-1], "the encoder's output width"),
+            ("head output", head[-1], model.grid.num_bins + 1, "len(grid) + 1")):
+        if width != need:
+            raise CheckpointError(f"{path}: {part} width {width} is not {what}, {need}")
+    return model
 
 
 def save_history(history: TrainHistory, cfg: TrainConfig, path) -> None:

@@ -1,11 +1,14 @@
 import argparse
 import csv
 import dataclasses
+import importlib
 import inspect
 import io
 import itertools
 import json
+import math
 import os
+import pkgutil
 import platform
 import re
 import subprocess
@@ -378,14 +381,33 @@ class TestDataFileErrors:
 
 
 class TestInputErrors:
-    """A missing or unreadable file, or a config that cannot be built, ends
-    the command with one error line and exit status 2, and writes nothing."""
+    """A missing or unreadable file, or a config, checkpoint or data set that
+    the command cannot take, ends the command with one error line and exit
+    status 2, and writes nothing."""
 
     @pytest.fixture
     def paths(self, data_csv, trained_dir, tmp_path):
         ckpt = trained_dir / "checkpoint.json"
         payload = json.loads(ckpt.read_text())
         no_encoder = {k: v for k, v in payload.items() if k != "encoder"}
+        encoder, head = payload["encoder"], payload["head"]  # 3-8-4, 4-5
+
+        def edited(**parts):
+            return {**payload, **{part: {**payload[part], **changes}
+                                  for part, changes in parts.items()}}
+
+        def filled(part, value):
+            return [np.full_like(w, value).tolist() for w in payload[part]["weights"]]
+
+        # checkpoints whose parts do not fit, and models whose outputs overflow
+        short_bias = edited(encoder={"biases": [encoder["biases"][0][:5],
+                                                encoder["biases"][1]]})
+        nan_bias = edited(head={"biases": [[math.nan, *head["biases"][0][1:]]]})
+        narrow_head = edited(head={"spec": {**head["spec"], "layer_widths": [2, 5]},
+                                   "weights": [[row[:2] for row in head["weights"][0]]]})
+        huge = edited(encoder={"weights": filled("encoder", 1e200)},
+                      head={"weights": filled("head", 1e200)})
+        huge_logit = edited(head={"weights": [[[1e308] * 4, *head["weights"][0][1:]]]})
         configs = {"bad_json": "{bad", "zero_epochs": '{"epochs": 0}',
                    "nested_key": '{"loss": {"bogus": 1}}',
                    "sampler": '{"sampler": "foo"}', "str_epochs": '{"epochs": "3"}',
@@ -398,7 +420,12 @@ class TestInputErrors:
                    "lam_key": '{"loss": {"lam": 0.3}}',
                    "version_2": json.dumps({**payload, "version": 2}),
                    "no_encoder": json.dumps(no_encoder),
-                   "bad_grid": json.dumps({**payload, "grid": [3.0, 1.0]})}
+                   "bad_grid": json.dumps({**payload, "grid": [3.0, 1.0]}),
+                   "short_bias": json.dumps(short_bias), "nan_bias": json.dumps(nan_bias),
+                   "one_cut": json.dumps({**payload, "grid": [1.0]}),
+                   "narrow_head": json.dumps(narrow_head), "huge": json.dumps(huge),
+                   "huge_logit": json.dumps(huge_logit),
+                   "two_names": json.dumps({**payload, "feature_names": ["x1", "x2"]})}
         for name, text in configs.items():
             (tmp_path / f"{name}.json").write_text(text)
         # held-out sets, times 1..60, on which one metric is undefined: 2
@@ -413,9 +440,12 @@ class TestInputErrors:
             save_csv(Dataset([Patient(p.id, p.features, int(e), float(t)) for p, e, t
                               in zip(ds.patients, events, when)], ds.feature_names),
                      tmp_path / f"{name}.csv")
+        save_csv(Dataset([Patient(p.id, p.features[:2], p.event, p.time)
+                          for p in ds.patients], ds.feature_names[:2]),
+                 tmp_path / "two_columns.csv")
         return {"data": str(data_csv), "ckpt": str(ckpt),
                 "missing": str(tmp_path / "missing.csv"), "dir": str(tmp_path),
-                "out": str(tmp_path / "out"),
+                "out": str(tmp_path / "out"), "two_columns": str(tmp_path / "two_columns.csv"),
                 **{name: str(tmp_path / f"{name}.json") for name in configs},
                 **{name: str(tmp_path / f"{name}.csv") for name in labels}}
 
@@ -472,6 +502,24 @@ class TestInputErrors:
          "checkpoint has no key 'encoder'"),
         ("export-embeddings --checkpoint {bad_grid} --data {data} --out {out}",
          "malformed checkpoint: cut points must be strictly increasing"),
+        ("evaluate --checkpoint {short_bias} --data {data} --out {out}",
+         "malformed checkpoint: checkpoint biases do not match spec"),
+        ("evaluate --checkpoint {nan_bias} --data {data} --out {out}",
+         "malformed checkpoint: checkpoint parameters contain NaN or infinity"),
+        ("evaluate --checkpoint {one_cut} --data {data} --out {out}",
+         "head output width 5 is not len(grid) + 1, 2"),
+        ("evaluate --checkpoint {narrow_head} --data {data} --out {out}",
+         "head input width 2 is not the encoder's output width, 4"),
+        ("export-embeddings --checkpoint {narrow_head} --data {data} --out {out}",
+         "head input width 2 is not the encoder's output width, 4"),
+        ("evaluate --checkpoint {two_names} --data {two_columns} --out {out}",
+         "encoder input width 3 is not the number of feature names, 2"),
+        ("evaluate --checkpoint {huge} --data {data} --out {out}",
+         "the model's embedding of patient 'p"),
+        ("export-embeddings --checkpoint {huge} --data {data} --out {out}",
+         "the model's embedding of patient 'p"),
+        ("evaluate --checkpoint {huge_logit} --data {data} --out {out}",
+         "the model's risk of patient 'p"),
         ("train --data {data} --out-dir {out}", "--seed is required for training"),
         ("lambda-sweep --data {data} --out {out}", "--seed is required for training"),
         ("generate --n 2 --seed 0 --out {out}", "n must be >= 4"),
@@ -483,6 +531,12 @@ class TestInputErrors:
         ("generate --n 200 --seed 0 --base-rate 1e308 --target-censoring 0 --out {out}",
          "base_rate 1e+308 is too large: the event rate base_rate * exp(risk) "
          "overflows for 47 of 200 patients"),
+        ("generate --n 200 --seed 0 --base-rate 1e-320 --target-censoring 0 --out {out}",
+         "base_rate 1e-320 is too small: the mean event time 1 / (base_rate * exp(risk)) "
+         "overflows for 200 of 200 patients"),
+        ("generate --n 200 --seed 0 --base-rate 5e-324 --target-censoring 0 --out {out}",
+         "base_rate 5e-324 is too small: the mean event time 1 / (base_rate * exp(risk)) "
+         "overflows for 200 of 200 patients"),
         ("train --data {data} --noise-std nan --seed 0 --out-dir {out}",
          "noise_std must be finite and >= 0, got nan"),
         ("train --data {data} --noise-std inf --seed 0 --out-dir {out}",
@@ -519,6 +573,23 @@ class TestInputErrors:
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert not Path(paths["out"]).exists()
         assert trained == []
+
+    def test_input_error_is_the_outside_input_classes(self):
+        # which failures end in one error line is stated on each class
+        modules = [importlib.import_module(f"survrnc.{m.name}")
+                   for m in pkgutil.iter_modules(survrnc.__path__)]
+        classes = {obj for module in modules for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__}
+        InputError = survrnc.core.InputError
+        assert {c.__name__ for c in classes if issubclass(c, InputError)} == {
+            "InputError", "ValidationError", "ConfigError", "ParseError",
+            "CalibrationFailedError", "CheckpointError", "FeatureMismatchError",
+            "NonFiniteLossError", "NoComparablePairsError", "UndefinedAtHorizonError",
+            "TooFewUncensoredError"}
+        for defect in (nn.ShapeMismatchError, nn.TapeMismatchError,
+                       heads.BinWidthMismatchError):
+            assert defect in classes and not issubclass(defect, InputError)
 
     def test_internal_value_error_keeps_its_traceback(self, data_csv, tmp_path,
                                                        monkeypatch):
