@@ -6,6 +6,8 @@ through negative / uncertain / disregarded pair sets, on top of
 discrete-time survival heads.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Dataset,
     LossConfig,
@@ -35,35 +37,8 @@ from .trainer import (
     train,
 )
 
-__all__ = [
-    "AugmentConfig",
-    "Dataset",
-    "EmbeddingBatch",
-    "EvalReport",
-    "LossConfig",
-    "Patient",
-    "SynthConfig",
-    "TimeGrid",
-    "TrainConfig",
-    "TrainHistory",
-    "TrainedModel",
-    "ValidationError",
-    "concordance_index",
-    "cumulative_dynamic_auc",
-    "discretize_time",
-    "embedding_ordinality",
-    "evaluate",
-    "export_embeddings",
-    "generate_synthetic",
-    "horizon_from_fraction",
-    "lambda_sweep",
-    "load_checkpoint",
-    "load_csv",
-    "save_checkpoint",
-    "save_csv",
-    "survrnc_loss",
-    "survrnc_loss_and_grad",
-    "train",
-]
+# every public object imported above, and none of the submodules
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 
 __version__ = "0.1.0"

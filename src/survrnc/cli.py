@@ -20,17 +20,15 @@ import numpy as np
 from . import pairsets as ps
 from . import trainer
 from .core import ConfigError, InputError
-from .data import (_RISK_MODELS, _SAMPLER_MODES, SynthConfig, csv_cell,
-                   generate_synthetic, load_csv, save_csv)
+from .data import (_RISK_MODELS, SynthConfig, csv_cell, generate_synthetic,
+                   load_csv, save_csv)
 from .trainer import TrainConfig
 
 # The train and lambda-sweep flags come from the TrainConfig fields, with
 # LossConfig and AugmentConfig flattened into them: one flag per field,
-# spelled as the field with dashes and routed to the same place in the
-# config. The exceptions:
-_FLAG_NAMES = trainer._JSON_KEYS  # a field's key in a config file
-_FLAG_CHOICES = {"head": trainer._HEADS, "sampler": _SAMPLER_MODES,
-                 "risk_model": _RISK_MODELS}
+# spelled as the field's key in a config file with dashes and routed to
+# the same place in the config. The exceptions:
+_FLAG_CHOICES = {**trainer._CHOICES, "risk_model": _RISK_MODELS}
 _NO_FLAG = {("activation",), ("augment", "seed")}
 # --hidden-widths takes a comma-separated list, and each subcommand
 # declares --seed itself. generate's flags come from the SynthConfig
@@ -61,7 +59,7 @@ def _add_train_overrides(parser: argparse.ArgumentParser):
         if path == ("seed",):
             continue
         name = path[-1]
-        flag = "--" + _FLAG_NAMES.get(name, name).replace("_", "-")
+        flag = "--" + trainer._JSON_KEYS.get(name, name).replace("_", "-")
         if name in _FLAG_CHOICES:
             parser.add_argument(flag, dest=name, choices=_FLAG_CHOICES[name])
         elif isinstance(default, tuple):
@@ -94,7 +92,7 @@ def _resolve_config(args: argparse.Namespace) -> TrainConfig:
             for key in parents:
                 node = node.setdefault(key, {})
             if isinstance(node, dict):  # else TrainConfig.from_dict names it
-                node[_FLAG_NAMES.get(name, name)] = value
+                node[trainer._JSON_KEYS.get(name, name)] = value
     if raw.get("seed") is None:
         raise ConfigError("--seed is required for training")
     return TrainConfig.from_dict(raw)

@@ -1,6 +1,5 @@
-"""Domain types, time-grid discretization, the pairwise distances the loss
-and the metrics share, and the loader of the C library calls that tune
-the allocator.
+"""Domain types, time-grid discretization, and the pairwise distances the
+loss and the metrics share.
 
 A `Dataset` is valid by construction: building one checks every patient
 and raises a single `ValidationError` listing each violation, so the
@@ -10,7 +9,6 @@ is immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,6 +38,12 @@ class Patient:
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
 
 
+def _one_line(name) -> str:
+    """An id or column name as an error message shows it: as written, or
+    its repr where it holds a line break or another unprintable character."""
+    return str(name) if str(name).isprintable() else repr(name)
+
+
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -47,7 +51,7 @@ class Violation:
     detail: str
 
     def __str__(self) -> str:
-        who = self.patient_id if self.patient_id is not None else "<dataset>"
+        who = _one_line(self.patient_id) if self.patient_id is not None else "<dataset>"
         return f"{self.code}({who}): {self.detail}"
 
 
@@ -275,15 +279,3 @@ def sq_distance_rows(v: np.ndarray) -> Callable[[int, int], np.ndarray]:
         return out
 
     return block
-
-
-def _libc_function(name: str, *argtypes):
-    """The C library's function `name`, taking `argtypes` and returning a C
-    int, or None where there is no C library or it has no such function."""
-    try:
-        function = getattr(ctypes.CDLL(None), name)
-    except (OSError, AttributeError, TypeError):
-        return None
-    function.argtypes = argtypes
-    function.restype = ctypes.c_int
-    return function

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, Dataset, InputError, Patient
+from .core import ConfigError, Dataset, InputError, Patient, _one_line
 
 _RISK_MODELS = ("linear", "quadratic")
 _SAMPLER_MODES = ("uniform", "event_balanced")
@@ -25,7 +25,8 @@ class ParseError(ValueError, InputError):
     def __init__(self, message: str, row: int | None = None, col: str | None = None):
         self.row = row
         self.col = col
-        where = "" if row is None else f" (row {row}" + ("" if col is None else f", column {col}") + ")"
+        where = "" if row is None else f" (row {row}" + (
+            "" if col is None else f", column {_one_line(col)}") + ")"
         super().__init__(message + where)
 
 
@@ -153,21 +154,16 @@ def load_csv(path) -> Dataset:
             if len(row) != len(header):
                 raise ParseError(
                     f"expected {len(header)} fields, got {len(row)}", row=row_num)
+            values = []
             try:
-                time = float(row[1])
-            except ValueError:
-                raise ParseError(f"bad time {row[1]!r}", row=row_num, col="time") from None
-            try:
-                event_raw = float(row[2])
-            except ValueError:
-                raise ParseError(f"bad event {row[2]!r}", row=row_num, col="event") from None
+                for cell in row[1:]:
+                    values.append(float(cell))
+            except ValueError:  # cell j of time, event, features... is the first bad one
+                j = len(values)
+                raise ParseError(f"bad {('time', 'event', 'value')[min(j, 2)]} {cell!r}",
+                                 row=row_num, col=("time", "event", *feature_names)[j]) from None
+            time, event_raw, *features = values
             event = int(event_raw) if event_raw in (0.0, 1.0) else event_raw
-            features = np.empty(len(feature_names))
-            for j, (name, cell) in enumerate(zip(feature_names, row[3:])):
-                try:
-                    features[j] = float(cell)
-                except ValueError:
-                    raise ParseError(f"bad value {cell!r}", row=row_num, col=name) from None
             patients.append(Patient(row[0], features, event, time))
     return Dataset(patients, feature_names)
 

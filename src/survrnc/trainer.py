@@ -22,12 +22,13 @@ from typing import Sequence
 import numpy as np
 
 from . import heads, loss as loss_mod, metrics, nn
-from .core import (ConfigError, Dataset, InputError, LossConfig, TimeGrid,
-                   _libc_function, discretize_time)
+from .core import ConfigError, Dataset, InputError, LossConfig, TimeGrid, discretize_time
 from .data import (_SAMPLER_MODES, AugmentConfig, sample_batch, sampling_weights,
                    two_view_augment, write_table)
 
-_HEADS = ("mtlr", "deephit")
+# the values a config field can take, for the fields that take a name
+_CHOICES = {"head": ("mtlr", "deephit"), "sampler": _SAMPLER_MODES,
+            "activation": nn._ACTIVATIONS}
 _LOSS_KEYS = ("loss_prognosis", "loss_survrnc", "loss_total")
 VAL_FRACTION = 0.2
 # a config field's key in a config file, where it differs from the field name
@@ -80,8 +81,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.num_bins < 1:
             raise ConfigError("epochs, batch_size and num_bins must be positive")
-        for name, allowed in (("head", _HEADS), ("sampler", _SAMPLER_MODES),
-                              ("activation", nn._ACTIVATIONS)):
+        for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {allowed}")
         object.__setattr__(self, "hidden_widths",
@@ -123,16 +123,14 @@ class TrainConfig:
         return cls(loss=LossConfig(**loss_d), augment=AugmentConfig(**aug_d), **top)
 
 
-# what each field type takes from JSON, and its name in an error (a JSON
-# true or false is a bool, which Python counts as an int)
-_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
-               str: (str, "a string")}
+# each JSON value's type and its name in an error (a JSON true or false is
+# a bool, which Python counts as an int)
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               type(None): "null", int: "an integer", float: "a number"}
 
 
 def _json_kind(value) -> str:
-    return {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
-            type(None): "null", int: "an integer",
-            float: "a number"}.get(type(value), type(value).__name__)
+    return _JSON_KINDS.get(type(value), type(value).__name__)
 
 
 def _json_object(what: str, value) -> dict:
@@ -149,8 +147,9 @@ def _check_json_type(key: str, value, kind) -> None:
             isinstance(v, int) and not isinstance(v, bool) for v in value)
         want = "an array of integers"
     else:
-        types, want = _JSON_TYPES[kind]
+        types = (int, float) if kind is float else kind  # a float field takes an int
         ok = isinstance(value, types) and not isinstance(value, bool)
+        want = _JSON_KINDS[kind]
     if not ok:
         raise ConfigError(f"config key {key} must be {want}, got {_json_kind(value)}")
 
@@ -244,12 +243,15 @@ def _settle_allocator() -> None:
     of them. `train` calls it first, and the CLI before any command. Does
     nothing where the C library has no `mallopt`.
     """
-    mallopt = _libc_function("mallopt", ctypes.c_int, ctypes.c_int)
-    if mallopt is not None:
-        m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8
-        mallopt(m_mmap_threshold, 32 << 20)
-        mallopt(m_trim_threshold, 64 << 20)
-        mallopt(m_arena_max, 1)
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+    mallopt(m_arena_max, 1)
 
 
 def init_model(cfg: TrainConfig, d_in: int, num_bins: int):

@@ -443,11 +443,17 @@ class TestInputErrors:
         save_csv(Dataset([Patient(p.id, p.features[:2], p.event, p.time)
                           for p in ds.patients], ds.feature_names[:2]),
                  tmp_path / "two_columns.csv")
+        # ids and column names that hold a line break
+        tables = {"break_id": 'id,time,event,x1\n"two\nlines",-1,1,0.5\np2,3,1,0.1\n',
+                  "break_column": 'id,time,event,"a\nb"\np1,1,1,oops\n',
+                  "break_duplicate": 'id,time,event,x1\n"d\nup",1,1,0.5\n"d\nup",2,0,0.1\n'}
+        for name, text in tables.items():
+            (tmp_path / f"{name}.csv").write_text(text)
         return {"data": str(data_csv), "ckpt": str(ckpt),
                 "missing": str(tmp_path / "missing.csv"), "dir": str(tmp_path),
                 "out": str(tmp_path / "out"), "two_columns": str(tmp_path / "two_columns.csv"),
                 **{name: str(tmp_path / f"{name}.json") for name in configs},
-                **{name: str(tmp_path / f"{name}.csv") for name in labels}}
+                **{name: str(tmp_path / f"{name}.csv") for name in (*labels, *tables)}}
 
     @pytest.mark.parametrize("argv, message", [
         ("pairsets --data {missing}", "No such file or directory"),
@@ -559,6 +565,9 @@ class TestInputErrors:
          "AUC at horizon 15.0: 0 cases, 45 controls"),
         ("evaluate --checkpoint {ckpt} --data {last_events} --out {out}",
          "concordance index: no comparable pairs in the input"),
+        ("pairsets --data {break_id}", "NegativeTime('two\\nlines'): time must be"),
+        ("pairsets --data {break_column}", "bad value 'oops' (row 2, column 'a\\nb')"),
+        ("pairsets --data {break_duplicate}", "DuplicateId('d\\nup'): appears 2 times"),
     ])
     def test_one_error_line(self, paths, capsys, monkeypatch, argv, message):
         trained = []

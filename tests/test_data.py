@@ -122,6 +122,21 @@ class TestCsvRoundTrip:
         assert exc.value.row == 2
         assert exc.value.col == "x1"
 
+    @pytest.mark.parametrize("row, message", [
+        ("a,soon,1,0.5,0.5", "bad time 'soon' (row 3, column time)"),
+        ("a,1.0,yes,0.5,0.5", "bad event 'yes' (row 3, column event)"),
+        ("a,1.0,1,0.5,oops", "bad value 'oops' (row 3, column x2)"),
+        ("a,soon,1,oops,0.5", "bad time 'soon' (row 3, column time)"),
+        ("a,1.0,yes,0.5,oops", "bad event 'yes' (row 3, column event)"),
+    ])
+    def test_first_bad_cell_is_reported(self, tmp_path, row, message):
+        # each cell is read in column order, and the first bad one is named
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,time,event,x1,x2\nok,2.0,0,0.1,0.2\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(path)
+        assert str(exc.value) == message
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,time,event,x1\na,1.0,1\n")
