@@ -105,10 +105,8 @@ def _cmd_generate(args) -> int:
     out = Path(args.out)
     save_csv(dataset, out)
     sidecar = out.with_suffix(".meta.json")
-    payload = {
-        "config": dataclasses.asdict(cfg),
-        "true_risks": {p.id: float(r) for p, r in zip(dataset.patients, risks)},
-    }
+    payload = {"config": dataclasses.asdict(cfg),
+               "true_risks": dict(zip(dataset.ids(), risks.tolist()))}
     trainer._write_json(payload, sidecar)
     censored = 1.0 - dataset.events().mean()
     print(f"wrote {len(dataset)} patients to {out} "

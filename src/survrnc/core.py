@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -74,63 +75,81 @@ class ConfigError(ValueError, InputError):
     """Raised when a config is built with a key or value it cannot take."""
 
 
-@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Patients with one feature vector each, named by `feature_names`.
+    """Patients as read-only columns: ids, an (n, d) feature matrix named by
+    `feature_names`, 0/1 events and times. Built from `Patient`s or by
+    `_from_columns`, it checks every invariant in one vectorized pass and
+    raises one `ValidationError` listing every violation, one per patient."""
 
-    Construction enforces every invariant and raises one `ValidationError`
-    listing all violations, one per offending patient, with codes
-    NonFiniteFeature, NegativeTime, BadEventFlag, RaggedFeatures,
-    DuplicateId, AllCensored.
-    """
+    def __init__(self, patients: Sequence[Patient], feature_names: Sequence[str]):
+        self._patients = patients = tuple(patients)
+        d = len(feature_names)
+        ragged = {i: p.features.shape for i, p in enumerate(patients) if p.features.shape != (d,)}
+        features = np.array([np.full(d, np.nan) if i in ragged else p.features  # flagged
+                             for i, p in enumerate(patients)]).reshape(len(patients), d)
+        self._check([p.id for p in patients], features,
+                    np.array([p.event for p in patients], dtype=object),  # "1" is not 1
+                    np.array([+p.time for p in patients], dtype=float),  # nor a time
+                    feature_names, ragged)
 
-    patients: tuple[Patient, ...]
-    feature_names: tuple[str, ...]
+    @classmethod
+    def _from_columns(cls, ids, features, events, times, feature_names) -> Dataset:
+        self = cls.__new__(cls)
+        self._patients = None
+        self._check(ids, features, events, times, feature_names, {})
+        return self
 
-    def __post_init__(self):
-        object.__setattr__(self, "patients", tuple(self.patients))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
+    def _check(self, ids, features, events, times, feature_names, ragged) -> None:
+        """Keep the columns, or raise per patient RaggedFeatures or NonFiniteFeature,
+        NegativeTime, BadEventFlag (values as given); then DuplicateId; AllCensored."""
+        bad_features = ~np.isfinite(features).all(axis=1)
+        bad_times = ~(np.isfinite(times) & (times >= 0))
+        bad_events = (events != 0) & (events != 1)
         violations: list[Violation] = []
-        expected_len = len(self.feature_names)
-        seen: dict[str, int] = {}
-        for p in self.patients:
-            if p.features.ndim != 1 or p.features.shape[0] != expected_len:
-                violations.append(Violation(
-                    "RaggedFeatures", p.id,
-                    f"expected {expected_len} features, got {p.features.shape}"))
-            elif not np.all(np.isfinite(p.features)):
-                violations.append(Violation(
-                    "NonFiniteFeature", p.id, "features contain NaN or infinity"))
-            if not (math.isfinite(p.time) and p.time >= 0):
-                violations.append(Violation(
-                    "NegativeTime", p.id, f"time must be finite and >= 0, got {p.time}"))
-            if p.event not in (0, 1):
-                violations.append(Violation(
-                    "BadEventFlag", p.id, f"event must be 0 or 1, got {p.event!r}"))
-            seen[p.id] = seen.get(p.id, 0) + 1
-        for pid, count in seen.items():
-            if count > 1:
-                violations.append(Violation("DuplicateId", pid, f"appears {count} times"))
-        if not any(p.event == 1 for p in self.patients):
+        for i in np.flatnonzero(bad_features | bad_times | bad_events).tolist():
+            time, event = ((self._patients[i].time, self._patients[i].event)
+                           if self._patients is not None else (times[i].item(), events[i].item()))
+            found = (("RaggedFeatures", f"expected {len(feature_names)} features, got {ragged[i]}")
+                     if i in ragged else ("NonFiniteFeature", "features contain NaN or infinity"),
+                     ("NegativeTime", f"time must be finite and >= 0, got {time}"),
+                     ("BadEventFlag", f"event must be 0 or 1, got {event!r}"))
+            violations += [Violation(code, ids[i], detail) for (code, detail), bad in
+                           zip(found, (bad_features[i], bad_times[i], bad_events[i])) if bad]
+        if len(set(ids)) < len(ids):
+            violations += [Violation("DuplicateId", pid, f"appears {count} times")
+                           for pid, count in Counter(ids).items() if count > 1]
+        if not (events == 1).any():
             violations.append(Violation(
                 "AllCensored", None, "dataset needs at least one uncensored patient"))
         if violations:
             raise ValidationError(violations)
+        events = events.astype(int)
+        features.flags.writeable = events.flags.writeable = times.flags.writeable = False
+        self._ids, self._features, self._events, self._times = ids, features, events, times
+        self.feature_names = tuple(feature_names)
+
+    @property
+    def patients(self) -> tuple[Patient, ...]:
+        """The `Patient`s the dataset was given, or built from its columns."""
+        if self._patients is None:
+            self._patients = tuple(map(Patient, self._ids, self._features,
+                                       self._events.tolist(), self._times.tolist()))
+        return self._patients
 
     def __len__(self) -> int:
-        return len(self.patients)
+        return len(self._ids)
 
     def ids(self) -> list[str]:
-        return [p.id for p in self.patients]
+        return self._ids
 
     def times(self) -> np.ndarray:
-        return np.array([p.time for p in self.patients], dtype=float)
+        return self._times
 
     def events(self) -> np.ndarray:
-        return np.array([p.event for p in self.patients], dtype=int)
+        return self._events
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack([p.features for p in self.patients])
+        return self._features
 
 
 @dataclass(frozen=True)

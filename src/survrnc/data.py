@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, Dataset, InputError, Patient, _one_line
+from .core import ConfigError, Dataset, InputError, _one_line
 
 _RISK_MODELS = ("linear", "quadratic")
 _SAMPLER_MODES = ("uniform", "event_balanced")
@@ -127,18 +128,14 @@ def generate_synthetic(cfg: SynthConfig):
         observed = np.minimum(event_times, censor_times)
         events = (event_times <= censor_times).astype(int)
     width = len(str(cfg.n))
-    patients = tuple(
-        Patient(f"p{i:0{width}d}", x[i], int(events[i]), float(observed[i]))
-        for i in range(cfg.n)
-    )
+    ids = [f"p{i:0{width}d}" for i in range(cfg.n)]
     names = tuple(f"x{j + 1}" for j in range(cfg.d_in))
-    return Dataset(patients, names), risks
+    return Dataset._from_columns(ids, x, events, observed, names), risks
 
 
 def load_csv(path) -> Dataset:
-    """Read the `id,time,event,<features...>` schema and validate it."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    """Read the `id,time,event,<features...>` schema, `float()` per cell."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -149,23 +146,28 @@ def load_csv(path) -> Dataset:
         if len(header) < 3 or [h.strip() for h in header[:3]] != ["id", "time", "event"]:
             raise ParseError(f"header must start with id,time,event; got {header[:3]}")
         feature_names = tuple(header[3:])
-        patients = []
+        ids, numbers = [], array("d")  # every row's numbers, one row after another
         for row_num, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", row=row_num)
-            values = []
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", row=row_num)
+            ids.append(row[0])
             try:
-                for cell in row[1:]:
-                    values.append(float(cell))
-            except ValueError:  # cell j of time, event, features... is the first bad one
-                j = len(values)
-                raise ParseError(f"bad {('time', 'event', 'value')[min(j, 2)]} {cell!r}",
-                                 row=row_num, col=("time", "event", *feature_names)[j]) from None
-            time, event_raw, *features = values
-            event = int(event_raw) if event_raw in (0.0, 1.0) else event_raw
-            patients.append(Patient(row[0], features, event, time))
-    return Dataset(patients, feature_names)
+                numbers.extend(map(float, row[1:]))
+            except ValueError:
+                raise _cell_error(row, row_num, feature_names) from None
+    values = np.frombuffer(numbers).reshape(-1, len(header) - 1)
+    return Dataset._from_columns(ids, np.ascontiguousarray(values[:, 2:]), values[:, 1],
+                                 values[:, 0].copy(), feature_names)
+
+
+def _cell_error(row: list[str], row_num: int, feature_names) -> ParseError:
+    """The error of the first of time, event, features... `float()` refuses."""
+    for j, cell in enumerate(row[1:]):
+        try:
+            float(cell)
+        except ValueError:
+            return ParseError(f"bad {('time', 'event', 'value')[min(j, 2)]} {cell!r}",
+                              row=row_num, col=("time", "event", *feature_names)[j])
 
 
 def csv_cell(text: str) -> str:

@@ -215,7 +215,7 @@ def _check_outputs(dataset: Dataset, emb: np.ndarray, risks=None) -> None:
         i = int(np.argmin(finite))
         what = "risk" if np.isfinite(emb[i]).all() else "embedding"
         raise FeatureMismatchError(
-            f"the model's {what} of patient {dataset.patients[i].id!r} is not finite")
+            f"the model's {what} of patient {dataset.ids()[i]!r} is not finite")
 
 
 def _model_risks(model: TrainedModel, features: np.ndarray):

@@ -22,6 +22,8 @@ int rank sums, so `embedding_ordinality` must equal it bit for bit;
 `centred_ranks` ranks one pair statistic with an `argsort`, the reference
 for the packed-key ranks inside `embedding_ordinality`. `csv_writer_cell`
 quotes a field with Python's `csv.writer`, the reference for `csv_cell`.
+`loop_violations` checks a dataset one patient at a time, the reference
+for the vectorized check a `Dataset` runs when it is built.
 None is fast; each is a direct transcription of the definition.
 """
 
@@ -39,7 +41,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 from scipy.stats import ConstantInputWarning, spearmanr
 
-from survrnc.core import LossConfig, Patient
+from survrnc.core import LossConfig, Patient, Violation
 from survrnc.loss import EmbeddingBatch
 from survrnc.metrics import (
     NoComparablePairsError,
@@ -371,3 +373,34 @@ def csv_writer_cell(text: str) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
     return buf.getvalue()[:-3]  # less the "," before the empty field and the line end
+
+
+def loop_violations(patients: Sequence[Patient], feature_names) -> list[Violation]:
+    """Every violation of a dataset, one patient at a time: RaggedFeatures
+    or NonFiniteFeature, NegativeTime, BadEventFlag; then DuplicateId in
+    first-seen order; then AllCensored."""
+    violations: list[Violation] = []
+    expected_len = len(feature_names)
+    seen: dict[str, int] = {}
+    for p in patients:
+        if p.features.ndim != 1 or p.features.shape[0] != expected_len:
+            violations.append(Violation(
+                "RaggedFeatures", p.id,
+                f"expected {expected_len} features, got {p.features.shape}"))
+        elif not np.all(np.isfinite(p.features)):
+            violations.append(Violation(
+                "NonFiniteFeature", p.id, "features contain NaN or infinity"))
+        if not (math.isfinite(p.time) and p.time >= 0):
+            violations.append(Violation(
+                "NegativeTime", p.id, f"time must be finite and >= 0, got {p.time}"))
+        if p.event not in (0, 1):
+            violations.append(Violation(
+                "BadEventFlag", p.id, f"event must be 0 or 1, got {p.event!r}"))
+        seen[p.id] = seen.get(p.id, 0) + 1
+    for pid, count in seen.items():
+        if count > 1:
+            violations.append(Violation("DuplicateId", pid, f"appears {count} times"))
+    if not any(p.event == 1 for p in patients):
+        violations.append(Violation(
+            "AllCensored", None, "dataset needs at least one uncensored patient"))
+    return violations

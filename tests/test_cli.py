@@ -263,9 +263,9 @@ class TestEvaluateAndExport:
                                        config_json, tmp_path, monkeypatch):
         # building a Dataset validates it, so each build is one validation
         builds = []
-        post_init = Dataset.__post_init__
-        monkeypatch.setattr(Dataset, "__post_init__",
-                            lambda ds: builds.append(ds) or post_init(ds))
+        check = Dataset._check
+        monkeypatch.setattr(Dataset, "_check",
+                            lambda ds, *columns: builds.append(ds) or check(ds, *columns))
         ckpt = str(trained_dir / "checkpoint.json")
         args = {"train": ["--config", str(config_json), "--seed", "7",
                           "--out-dir", str(tmp_path)],

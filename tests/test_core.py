@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import direct_sq_distances
+from oracles import direct_sq_distances, loop_violations
 from survrnc.core import (
     GUARD_KAPPA,
     Dataset,
@@ -17,6 +17,7 @@ from survrnc.core import (
     discretize_time,
     sq_distance_rows,
 )
+from survrnc.data import SynthConfig, generate_synthetic, load_csv, write_table
 
 
 def make_dataset(rows, names=("x1", "x2")):
@@ -85,6 +86,87 @@ class TestDatasetConstruction:
             "NonFiniteFeature(a): features contain NaN or infinity; "
             "BadEventFlag(a): event must be 0 or 1, got 3; "
             "DuplicateId(a): appears 2 times")
+
+    def test_text_time_is_refused(self):
+        # numpy would read "5" as 5.0; a Patient's time must be a number
+        with pytest.raises(TypeError):
+            make_dataset(VALID_ROWS + [("d", [1.0, 1.0], 1, "5")])
+
+    def test_columns_are_read_only(self):
+        built = make_dataset(VALID_ROWS)
+        generated, _ = generate_synthetic(SynthConfig(n=10, d_in=2, seed=1))
+        for ds in (built, generated):
+            for column in (ds.feature_matrix(), ds.times(), ds.events()):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 0
+
+
+NAMES = ("x1", "x2")
+# ids that repeat, and ids the csv dialect has to quote
+IDS = st.sampled_from(["a", "b", "c", "a,b", 'say "hi"', "two\nlines", "é", ""])
+TWO_FEATURES = st.lists(st.floats(-10, 10) | st.sampled_from([math.nan, math.inf, -math.inf]),
+                        min_size=2, max_size=2)
+FEATURES = st.one_of(
+    TWO_FEATURES,
+    st.lists(st.floats(-10, 10), max_size=3),  # ragged unless two long
+    st.just(np.zeros((1, 2))),
+)
+EVENTS = [0, 1, 2, -1, True, 1.0]
+TIMES = st.floats(0, 1e6) | st.integers(-2, 2) | st.sampled_from(
+    [-0.0, -1.0, -1e-300, math.nan, math.inf, -math.inf])
+
+
+def patient_lists(features, events):
+    return st.lists(st.builds(Patient, IDS, features, st.sampled_from(events), TIMES),
+                    max_size=8)
+
+
+def error_text(build) -> str:
+    """The text of the `ValidationError` that `build()` raises, or ""."""
+    try:
+        build()
+    except ValidationError as exc:
+        return str(exc)
+    return ""
+
+
+def oracle_text(patients) -> str:
+    violations = loop_violations(patients, NAMES)
+    return str(ValidationError(violations)) if violations else ""
+
+
+class TestValidationOracle:
+    """The vectorized check gives the per-patient loop's violations, in its
+    order, with its messages: built from `Patient`s and read from a CSV."""
+
+    @given(patient_lists(FEATURES, [*EVENTS, 0.5, "1", None]))
+    @settings(max_examples=100, deadline=None)
+    def test_patients_checked_as_the_loop_checks_them(self, patients):
+        assert error_text(lambda: Dataset(patients, NAMES)) == oracle_text(patients)
+
+    @given(patient_lists(TWO_FEATURES, EVENTS))  # the rows a table can hold
+    @settings(max_examples=50, deadline=None)
+    def test_csv_checked_as_the_loop_checks_it(self, tmp_path_factory, patients):
+        # the CSV gives a bad event or time as the float it reads
+        path = tmp_path_factory.mktemp("oracle") / "data.csv"
+        times = np.array([p.time for p in patients], dtype=float)
+        write_table(path, NAMES, [p.id for p in patients], times,
+                    [p.event for p in patients],
+                    np.array([p.features for p in patients]).reshape(-1, 2))
+        read = [Patient(p.id, p.features, int(p.event) if p.event in (0, 1)
+                        else float(p.event), t) for p, t in zip(patients, times.tolist())]
+        assert error_text(lambda: load_csv(path)) == oracle_text(read)
+
+    def test_message_shows_the_value_as_given(self, tmp_path):
+        rows = VALID_ROWS + [("d", [1.0, 1.0], 3, -1)]
+        assert error_text(lambda: make_dataset(rows)) == (
+            "NegativeTime(d): time must be finite and >= 0, got -1; "
+            "BadEventFlag(d): event must be 0 or 1, got 3")
+        path = tmp_path / "data.csv"
+        path.write_text("id,time,event,x1,x2\na,1,1,0,0\nd,-1,3,1,1\n")
+        assert error_text(lambda: load_csv(path)) == (
+            "NegativeTime(d): time must be finite and >= 0, got -1.0; "
+            "BadEventFlag(d): event must be 0 or 1, got 3.0")
 
 
 def nearest_rank_quantile(sorted_values, k, num_bins):

@@ -3,6 +3,7 @@ import string
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from survrnc.core import Dataset, Patient, ValidationError
 from survrnc.data import (
@@ -16,6 +17,7 @@ from survrnc.data import (
     sampling_weights,
     save_csv,
     two_view_augment,
+    write_table,
 )
 from survrnc.metrics import concordance_index
 
@@ -133,6 +135,44 @@ class TestCsvRoundTrip:
         # each cell is read in column order, and the first bad one is named
         path = tmp_path / "bad.csv"
         path.write_text(f"id,time,event,x1,x2\nok,2.0,0,0.1,0.2\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(path)
+        assert str(exc.value) == message
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, data):
+        # ids and names with quotes, commas, CR, LF, spaces and non-ASCII;
+        # any finite float, -0.0 and subnormals included
+        n, d = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 3))
+        text = st.text(alphabet='ab ,"\r\n\té€', max_size=5)
+        ids = data.draw(st.lists(text, min_size=n, max_size=n, unique=True))
+        names = tuple(data.draw(st.lists(text, min_size=d, max_size=d)))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        features = data.draw(arrays(float, (n, d), elements=finite))
+        times = data.draw(arrays(float, n, elements=st.floats(0, allow_infinity=False)
+                                 | st.just(-0.0)))
+        events = data.draw(arrays(int, n, elements=st.sampled_from([0, 1])).filter(
+            lambda e: e.any()))
+        path = tmp_path_factory.mktemp("round") / "data.csv"
+        write_table(path, names, ids, times, events, features)
+        loaded = load_csv(path)
+        rebuilt = Dataset(loaded.patients, loaded.feature_names)
+        for ds in (loaded, rebuilt):
+            assert ds.ids() == ids and ds.feature_names == names
+            assert ds.times().tobytes() == times.tobytes()
+            assert ds.events().tobytes() == events.tobytes()
+            assert ds.feature_matrix().tobytes() == features.tobytes()
+
+    @pytest.mark.parametrize("row, message", [
+        ("p5003,1.0,1,0.5,oops", "bad value 'oops' (row 5005, column x2)"),
+        ("p5003,1.0,1,0.5", "expected 5 fields, got 4 (row 5005)"),
+    ])
+    def test_late_row_is_numbered(self, tmp_path, row, message):
+        rows = [f"p{i},1.0,1,0.5,0.5" for i in range(6000)]
+        rows[5003] = row
+        path = tmp_path / "bad.csv"
+        path.write_text("id,time,event,x1,x2\n" + "\n".join(rows) + "\n")
         with pytest.raises(ParseError) as exc:
             load_csv(path)
         assert str(exc.value) == message

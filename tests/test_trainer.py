@@ -369,6 +369,21 @@ class TestExportEmbeddings:
         assert np.array_equal(reloaded, emb)
 
 
+class TestDatasetReuse:
+    def test_second_run_on_one_dataset_writes_the_same_files(self, tmp_path):
+        # the dataset's columns are read-only, so no command leaves a mark
+        ds, _ = generate_synthetic(SynthConfig(n=80, d_in=4, target_censoring=0.3, seed=21))
+        runs = []
+        for k in range(2):
+            model, history = train(ds, TINY_CFG)
+            save_history(history, TINY_CFG, tmp_path / f"history{k}.json")
+            save_checkpoint(model, TINY_CFG, tmp_path / f"checkpoint{k}.json")
+            export_embeddings(model, ds, tmp_path / f"emb{k}.csv")
+            runs.append([evaluate(model, ds).to_dict()] + [
+                (tmp_path / f"{name}{k}.{ext}").read_bytes() for name, ext in
+                (("history", "json"), ("checkpoint", "json"), ("emb", "csv"))])
+        assert runs[0] == runs[1]
+
 class TestLambdaSweep:
     def test_single_row(self, small_dataset):
         table = lambda_sweep(small_dataset, TINY_CFG, [0.5])
