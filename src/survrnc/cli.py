@@ -230,6 +230,10 @@ def main(argv=None) -> int:
     # a file that cannot be read, or an input the command cannot take
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    # an input too large for this machine: the allocation fails while the
+    # command computes, before it writes anything
+    except MemoryError as exc:
+        parser.exit(2, f"{parser.prog}: error: out of memory{': ' if str(exc) else ''}{exc}\n")
 
 
 if __name__ == "__main__":

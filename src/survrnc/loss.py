@@ -19,6 +19,11 @@ batch is summed in linear space (one exp, cumulative sums) unless some
 row's similarities span too wide a range for that (`LINEAR_SPREAD`); then
 every row is summed in log space, so no denominator underflows however
 far apart the embeddings lie.
+
+The sort and every weight come from the labels alone. A training batch
+holds two views of each patient, in rows 2i and 2i + 1 with equal labels,
+so the kernel builds those arrays once per patient and broadcasts them
+over the two views; any other batch gets them once per row.
 """
 
 from __future__ import annotations
@@ -107,31 +112,49 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
     share of member k, the sum over pairs of its w exp(x[a, k]) / d, comes
     from one prefix sum of 1/d read at the last place of k's tie group,
     of the first group and of the row.
+
+    Rows with equal labels have equal theta rows, sorts, bounds, weights
+    and tie groups. When B is even and each row pair (2i, 2i + 1) has
+    equal (event, time), as in a two-view batch, g = 2 rows share one
+    label row; otherwise g = 1. The label arrays are (B/g, 1, B) and
+    broadcast against the (B/g, g, B) arrays of the views.
     """
-    v = batch.embeddings
+    v, events, times = batch.embeddings, batch.events, batch.times
     n = batch.size
     tau, lam = cfg.temperature, cfg.lam
-    rows = np.arange(n)[:, None]
-    theta = np.abs(batch.times[:, None] - batch.times)
-    # flat index of each row's members in ascending theta; every (B, B)
-    # matrix from here on lists its rows in that order
-    ranked = np.argsort(theta, axis=1) + n * rows
-    lo, hi = (np.take(exact, ranked) for exact in exact_bounds(batch.events, batch.times))
+    # bitwise equal labels give bitwise equal label rows
+    g = 2 if (n % 2 == 0 and times[::2].tobytes() == times[1::2].tobytes()
+              and events[::2].tobytes() == events[1::2].tobytes()) else 1
+    m = n // g
+    theta = np.abs(times[::g, None] - times)
+    order = np.argsort(theta, axis=1)[:, None, :]
+    # flat index of each label row's members in ascending theta; every
+    # label array from here on lists its rows in that order, shaped
+    # (m, 1, B) to broadcast over the g views of its row
+    ranked = order + n * np.arange(m)[:, None, None]
+    lo, hi = (np.take(exact, ranked) for exact in
+              exact_bounds(events, times, slice(None, None, g)))
     # each member's weight at its own place, at the first and at the last
     weights = (np.where(hi, 1.0, (1.0 - lam) * lo), (1.0 - lam) * ~lo, lam * ~hi)
     first, last = _tie_groups(np.take(theta, ranked))
+    # the same for each view: (m, g, B) arrays, rows in their label row's order
+    views = np.arange(n).reshape(m, g, 1)
+    at = n * views  # flat offset of each view's row
+    ranked = order + at
     dist = np.take(np.sqrt(sq_distance_rows(v)(0, n)), ranked)
     x = -dist / tau
-    is_self = (rows, np.argmax(ranked == rows * (n + 1), axis=1)[:, None])  # k = a's place
-    x[is_self] = -np.inf  # k = a never participates
+    # flat index of k = a's place, written through `ravel()`, a view of
+    # each (m, g, B) array as every one is made contiguous
+    is_self = np.argmax(ranked == at + views, axis=-1) + at[..., 0]
+    x.ravel()[is_self] = -np.inf  # k = a never participates
 
-    spread = (x.max(axis=1) + dist.max(axis=1) / tau).max() + np.log(n + 1)
+    spread = (x.max(axis=-1) + dist.max(axis=-1) / tau).max() + np.log(n + 1)
     log_d_less_x, share = (_log_rows if spread >= LINEAR_SPREAD else _linear_rows)(
-        x, weights, first, last, is_self, want_grad)
+        x, weights, first, last, at, is_self, want_grad)
     # d >= exp(x[a, p]) because p sits in its own denominator with weight 1;
     # rounding in (1 - lam) + lam may undercut that by an ulp
     terms = np.maximum(log_d_less_x, 0.0)
-    terms[is_self] = 0.0  # p = a: no pair
+    terms.ravel()[is_self] = 0.0  # p = a: no pair
     num_pairs = n * (n - 1)
     value = float(terms.sum() / num_pairs)
     if not want_grad:
@@ -141,12 +164,12 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
     # denominator holding it, less its own pair's x[a, p] (a lone
     # positive's share is e / d = 1 exactly, so its terms cancel exactly)
     coeff = share - 1.0
-    coeff[is_self] = 0.0
+    coeff.ravel()[is_self] = 0.0
     coeff /= tau * num_pairs
 
     # d dist[a, k] / d v[a] = (v[a] - v[k]) / dist[a, k] = -d dist[a, k] / d v[k]
     w = np.empty((n, n))
-    w.ravel()[ranked] = np.divide(coeff, dist, out=np.zeros((n, n)), where=dist > 0)
+    w.ravel()[ranked] = np.divide(coeff, dist, out=np.zeros(dist.shape), where=dist > 0)
     s = w + w.T
     return value, s @ v - s.sum(axis=1)[:, None] * v
 
@@ -154,64 +177,65 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
 def _tie_groups(theta):
     """The first and the last place of each place's tie group, in rows
     sorted ascending."""
-    n = theta.shape[1]
-    places = np.arange(n)
-    tie = np.zeros((theta.shape[0], n + 1), dtype=bool)  # place j ties j - 1
-    tie[:, 1:-1] = theta[:, 1:] == theta[:, :-1]
-    first = np.maximum.accumulate(places * ~tie[:, :-1], axis=1)
-    last = np.minimum.accumulate(np.maximum(places, (n - 1) * tie[:, 1:])[:, ::-1],
-                                 axis=1)[:, ::-1]
-    return first, last
+    n = theta.shape[-1]
+    # each place that starts a group, and one past the last place
+    edges = np.ones(theta.size + 1, dtype=bool)
+    np.not_equal(theta[..., 1:], theta[..., :-1],
+                 out=edges[:-1].reshape(theta.shape)[..., 1:])
+    edges = np.flatnonzero(edges)
+    sizes = edges[1:] - edges[:-1]
+    starts = edges[:-1] % n
+    return (np.repeat(starts, sizes).reshape(theta.shape),
+            np.repeat(starts + sizes - 1, sizes).reshape(theta.shape))
 
 
-def _linear_rows(x, weights, first, last, is_self, want_grad):
+def _linear_rows(x, weights, first, last, at, is_self, want_grad):
     """Rows of log d - x and, with `want_grad`, of each member's share
     exp(x) w / d summed over the denominators holding it, summed in linear
-    space."""
+    space. x and the flat row offsets `at` are per view, (m, g, B) and
+    (m, g, 1); the weights and tie groups per label row, (m, 1, B)."""
     own, at_first, at_last = weights
-    n = len(x)
-    at = n * np.arange(n)[:, None]  # flat offset of each row
-    z = x - x.max(axis=1, keepdims=True)
-    z[is_self] = 0.0  # finite, so exp keeps to its vector path
+    n = x.shape[-1]
+    z = x - x.max(axis=-1, keepdims=True)
+    z.ravel()[is_self] = 0.0  # finite, so exp keeps to its vector path
     e = np.exp(z)
-    e[is_self] = 0.0
+    e.ravel()[is_self] = 0.0
     promoted = e * at_first
     addends = e * own
-    addends[:, 0] += promoted.sum(axis=1)
-    addends[:, -1] += (e * at_last).sum(axis=1)
-    d = np.take(np.cumsum(addends[:, ::-1], axis=1), n - 1 - first + at) + promoted
+    addends[..., 0] += promoted.sum(axis=-1)
+    addends[..., -1] += (e * at_last).sum(axis=-1)
+    d = np.take(np.cumsum(addends[..., ::-1], axis=-1), n - 1 - first + at) + promoted
     log_d_less_x = np.log(d) - z
     if not want_grad:
         return log_d_less_x, None
     inv = 1.0 / d
-    inv[is_self] = 0.0  # p = a: no pair
-    held = np.take(np.cumsum(inv, axis=1), last + at)
+    inv.ravel()[is_self] = 0.0  # p = a: no pair
+    held = np.take(np.cumsum(inv, axis=-1), last + at)
     # k's share of its own pair's d is the quotient e / d, 1 exactly for a
     # lone positive; the prefix sums less inv give the other pairs holding
     # k. A member at the first place is in its own pair's d only when
     # promoted, which e / d counts.
-    return log_d_less_x, e * (own * (held - inv) + at_first * held[:, :1]
-                              + at_last * (held[:, -1:] - inv)) + e / d
+    return log_d_less_x, e * (own * (held - inv) + at_first * held[..., :1]
+                              + at_last * (held[..., -1:] - inv)) + e / d
 
 
-def _log_rows(x, weights, first, last, is_self, want_grad):
+def _log_rows(x, weights, first, last, at, is_self, want_grad):
     """`_linear_rows` summed in log space, for batches with a row too wide
     for it."""
-    n = len(x)
-    at = n * np.arange(n)[:, None]
+    n = x.shape[-1]
     # ln of each member's weighted exp(x); ln 0 = -inf drops a member
     with np.errstate(divide="ignore"):
         own, at_first, at_last = (x + np.log(w) for w in weights)
     addends = own.copy()
-    addends[:, 0] = np.logaddexp(addends[:, 0], np.logaddexp.reduce(at_first, axis=1))
-    addends[:, -1] = np.logaddexp(addends[:, -1], np.logaddexp.reduce(at_last, axis=1))
-    log_d = np.logaddexp(np.take(np.logaddexp.accumulate(addends[:, ::-1], axis=1),
+    addends[..., 0] = np.logaddexp(addends[..., 0], np.logaddexp.reduce(at_first, axis=-1))
+    addends[..., -1] = np.logaddexp(addends[..., -1], np.logaddexp.reduce(at_last, axis=-1))
+    log_d = np.logaddexp(np.take(np.logaddexp.accumulate(addends[..., ::-1], axis=-1),
                                  n - 1 - first + at), at_first)
     if not want_grad:
         return log_d - x, None
     neg_log_d = -log_d
-    neg_log_d[is_self] = -np.inf  # p = a: no pair
-    prefix = np.logaddexp.accumulate(neg_log_d, axis=1)
+    neg_log_d.ravel()[is_self] = -np.inf  # p = a: no pair
+    prefix = np.logaddexp.accumulate(neg_log_d, axis=-1)
     return log_d - x, (np.exp(own + np.take(prefix, last + at))
-                       + np.exp(at_first + np.take(prefix, last[:, :1] + at))
-                       + np.exp(at_last + prefix[:, -1:]) + np.exp(at_first - log_d))
+                       + np.exp(at_first + np.take(prefix, last[..., :1] + at))
+                       + np.exp(at_last + prefix[..., -1:]) + np.exp(at_first - log_d))

@@ -33,9 +33,10 @@ def delta_bound_matrices(events: np.ndarray, times: np.ndarray):
     return np.where(lo_exact, theta, 0.0), np.where(hi_exact, theta, np.inf), theta
 
 
-def exact_bounds(events: np.ndarray, times: np.ndarray):
+def exact_bounds(events: np.ndarray, times: np.ndarray, anchors=slice(None)):
     """Boolean (B, B) matrices lo == theta and hi == theta of
-    `delta_bound_matrices`, from the labels alone.
+    `delta_bound_matrices`, from the labels alone; with `anchors`, an
+    index of rows, only those anchors' rows.
 
     hi[i, j] is theta exactly when neither is censored (a censored true
     time has no upper end). lo[i, j] is theta exactly when each censored
@@ -44,9 +45,9 @@ def exact_bounds(events: np.ndarray, times: np.ndarray):
     """
     event = np.asarray(events) == 1
     times = np.asarray(times, dtype=float)
-    later = times[:, None] >= times
-    return ((event[:, None] | later) & (event | later.T),
-            event[:, None] & event)
+    anchor_event, anchor_time = event[anchors, None], times[anchors, None]
+    return ((anchor_event | (anchor_time >= times)) & (event | (times >= anchor_time)),
+            anchor_event & event)
 
 
 def pair_set_masks(events: np.ndarray, times: np.ndarray):

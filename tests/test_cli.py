@@ -600,6 +600,33 @@ class TestInputErrors:
                        heads.BinWidthMismatchError):
             assert defect in classes and not issubclass(defect, InputError)
 
+    @pytest.mark.parametrize("command, argv", [
+        ("train", "train --data {data} --seed 0 --out-dir {out}"),
+        ("evaluate", "evaluate --checkpoint {ckpt} --data {data} --out {out}"),
+        ("export_embeddings",
+         "export-embeddings --checkpoint {ckpt} --data {data} --out {out}"),
+    ])
+    @pytest.mark.parametrize("text, message", [
+        ("Unable to allocate 47.7 GiB for an array with shape (100000000, 64) "
+         "and data type float64",
+         "out of memory: Unable to allocate 47.7 GiB for an array with shape "
+         "(100000000, 64) and data type float64"),
+        ("", "out of memory"),
+    ])
+    def test_out_of_memory_is_one_error_line(self, paths, capsys, monkeypatch,
+                                             command, argv, text, message):
+        # the command fails as a size-driven allocation would, without one
+        def too_large(*args):
+            raise MemoryError(text)
+        monkeypatch.setattr(trainer, command, too_large)
+        with pytest.raises(SystemExit) as exc:
+            main(argv.format(**paths).split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"survrnc: error: {message}\n"
+        assert not Path(paths["out"]).exists()
+
     def test_internal_value_error_keeps_its_traceback(self, data_csv, tmp_path,
                                                        monkeypatch):
         def broken(dataset, cfg):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (LengthMismatchError, build_pair_sets, dense_loss_and_grad,
                      pair_likelihood, similarity)
@@ -260,11 +260,11 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("case", [
         "all_times_equal", "single_event", "single_event_b64", "two_events",
         "two_censored", "event_and_later_censored", "two_views_censored",
-        "two_view_b96"])
+        "two_view_b96", "two_view_far_outlier"])
     def test_tie_groups_and_edges_match_dense_oracle(self, case, lam):
         rng = np.random.default_rng(17)
         n = {"all_times_equal": 9, "single_event": 12, "single_event_b64": 64,
-             "two_view_b96": 96}.get(case, 2)
+             "two_view_b96": 96, "two_view_far_outlier": 24}.get(case, 2)
         emb = rng.standard_normal((n, 3))
         events = rng.integers(0, 2, n)
         times = rng.uniform(0, 100, n)
@@ -280,6 +280,10 @@ class TestOracleAgreement:
         elif case == "two_view_b96":  # 60% censored, time ties across patients
             events = np.repeat((rng.random(48) > 0.6).astype(int), 2)
             times = np.repeat(rng.choice([5.0, 10.0, 20.0, 40.0, 80.0], 48), 2)
+        elif case == "two_view_far_outlier":  # log space, label rows shared
+            events = np.repeat((rng.random(12) > 0.6).astype(int), 2)
+            times = np.repeat(rng.choice([0.0, 10.0, 20.0], 12), 2)
+            emb[7, 0] += 100.0  # 1000 tau from the rest
         else:
             events, times = {
                 "two_events": ([1, 1], [10.0, 30.0]),
@@ -374,6 +378,74 @@ class TestOracleAgreement:
         assert np.abs(grad - dense_grad).max() / np.abs(dense_grad).max() < 1e-8
         fd = _central_differences(b, CFG)
         assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-4
+
+
+def assert_matches_untwinned(batch, cfg):
+    """The value and gradient of `batch` equal, within 1e-12 relative,
+    those of its rows rolled by one place: each row pair (2i, 2i + 1) then
+    holds two patients, so the kernel does the label work once per row
+    instead of once per patient."""
+    value, grad = survrnc_loss_and_grad(batch, cfg)
+    perm = np.roll(np.arange(batch.size), 1)
+    events, times = batch.events[perm], batch.times[perm]
+    assert not (np.array_equal(events[::2], events[1::2])
+                and np.array_equal(times[::2], times[1::2]))
+    moved_value, moved_grad = survrnc_loss_and_grad(
+        EmbeddingBatch(batch.embeddings[perm], events, times), cfg)
+    back = np.empty_like(moved_grad)
+    back[perm] = moved_grad
+    assert abs(moved_value - value) <= 1e-12 * abs(value)
+    assert np.abs(back - grad).max() <= 1e-12 * np.abs(grad).max()
+    return value, grad
+
+
+class TestTwinRows:
+    """A two-view batch (rows 2i and 2i + 1 are views of one patient, with
+    equal labels) shares each patient's label work between its views; it
+    must give what the same rows in an order without that structure give."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 24),
+           st.sampled_from([0.0, 0.3, 0.6, 1.0]), st.sampled_from([0.0, 0.37, 1.0]),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_batch_reordered(self, seed, patients, censored, lam, far):
+        rng = np.random.default_rng(seed)
+        events = (rng.random(patients) >= censored).astype(int)
+        times = rng.choice([0.0, 5.0, 10.0, 25.0, 50.0], patients)  # tied and zero
+        # with one label for every patient, any order is two-view
+        assume(len(set(zip(events, times))) > 1)
+        n, tau = 2 * patients, float(rng.uniform(0.3, 4.0))
+        emb = rng.standard_normal((n, 3)) * rng.uniform(0.1, 3)
+        if far:  # one view >= 700 tau from the rest: summed in log space
+            emb[rng.integers(n), 0] += 1000.0 * tau
+        b = EmbeddingBatch(emb, np.repeat(events, 2), np.repeat(times, 2))
+        assert_matches_untwinned(b, LossConfig(tau, lam, 1.0))
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("case", ["all_times_equal", "one_event", "far_view"])
+    def test_b512_families(self, case, lam):
+        # 512 views of 256 patients, 60% censored: finite without warnings,
+        # translation-invariant, and equal to the batch reordered
+        rng = np.random.default_rng(21)
+        events = (rng.random(256) > 0.6).astype(int)
+        times = rng.uniform(0, 100, 256)
+        emb = rng.standard_normal((512, 32))
+        cfg = LossConfig(2.0, lam, 1.0)
+        if case == "all_times_equal":
+            times[:] = 30.0
+        elif case == "one_event":  # one event patient among censored ones
+            events[:] = 0
+            events[37] = 1
+        else:  # one view >= 700 tau from the rest: summed in log space
+            emb[101, 0] += 800.0 * cfg.temperature
+        b = EmbeddingBatch(emb, np.repeat(events, 2), np.repeat(times, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, grad = assert_matches_untwinned(b, cfg)
+            shifted = EmbeddingBatch(emb + 3.0, b.events, b.times)
+            assert survrnc_loss(shifted, cfg) == pytest.approx(value, rel=1e-12)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        assert np.abs(grad.sum(axis=0)).max() / np.abs(grad).max() < 1e-10
 
 
 class TestEmbeddingBatch:

@@ -243,6 +243,12 @@ class TestBoundIdentity:
         # k = a: lo = 0 = theta always; hi = 0 only if uncensored
         assert lo_exact.diagonal().all()
         assert np.array_equal(hi_exact.diagonal(), events == 1)
+        # chosen anchor rows only: those rows of the whole matrices
+        for anchors in (slice(None, None, 2), slice(1, None, 3),
+                        np.arange(len(times))[::-1], np.array([0, 0])):
+            some_lo, some_hi = exact_bounds(events, times, anchors)
+            assert np.array_equal(some_lo, lo_exact[anchors])
+            assert np.array_equal(some_hi, hi_exact[anchors])
 
     @given(label_rows, st.sampled_from(["drawn", "none", "all"]))
     @settings(max_examples=200)
