@@ -61,7 +61,8 @@ class InputError(Exception):
 
 
 class ValidationError(ValueError, InputError):
-    """Raised when a `Dataset` is built; carries every violation found."""
+    """Raised when a `Dataset` or a time grid is built; carries every
+    violation found."""
 
     def __init__(self, violations: Sequence[Violation]):
         self.violations = tuple(violations)
@@ -218,16 +219,17 @@ def discretize_time(times: np.ndarray, events: np.ndarray,
     times underestimate event times), then deduplicated. If fewer than
     `num_bins` distinct uncensored times exist the grid falls back to the
     distinct times themselves and a DegenerateTimesWarning reports the
-    actual K.
+    actual K. `times` and `events` are the training split's; with no
+    uncensored time above 0 there is no cut, a `ValidationError`.
     """
     if num_bins < 1:
         raise ValueError(f"num_bins must be >= 1, got {num_bins}")
     uncensored = np.sort(times[events == 1])
-    if uncensored.size == 0:
-        raise ValueError("no uncensored patients")
     distinct = _distinct(uncensored[uncensored > 0])
     if distinct.size == 0:
-        raise ValueError("no positive uncensored time; cannot build a grid")
+        raise ValidationError([Violation(
+            "NoPositiveEventTime", None,
+            "no uncensored patient in the training split has a time above 0")])
     if distinct.size < num_bins:
         warnings.warn(
             f"only {distinct.size} distinct uncensored times for "

@@ -21,10 +21,6 @@ import numpy as np
 from .core import TimeGrid
 
 
-class BinWidthMismatchError(ValueError):
-    pass
-
-
 def _softmax(logits: np.ndarray):
     """(log pmf, pmf): row-wise softmax with max-subtraction."""
     z = logits - logits.max(axis=1, keepdims=True)
@@ -69,8 +65,7 @@ def _likelihood(logits: np.ndarray, events: np.ndarray, times: np.ndarray,
     bin is the event bin, or the first censoring-consistent bin if censored."""
     logits = np.asarray(logits, dtype=float)
     if logits.ndim != 2 or logits.shape[1] != grid.num_bins + 1:
-        raise BinWidthMismatchError(
-            f"logits shape {logits.shape} is not (B, K+1 = {grid.num_bins + 1})")
+        raise ValueError(f"logits shape {logits.shape} is not (B, K+1 = {grid.num_bins + 1})")
     events = np.asarray(events, dtype=int)
     logp, pmf = _softmax(logits)
     n, width = pmf.shape

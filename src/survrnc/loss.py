@@ -148,9 +148,10 @@ def _loss_and_grad(batch: EmbeddingBatch, cfg: LossConfig, want_grad: bool):
     is_self = np.argmax(ranked == at + views, axis=-1) + at[..., 0]
     x.ravel()[is_self] = -np.inf  # k = a never participates
 
-    spread = (x.max(axis=-1) + dist.max(axis=-1) / tau).max() + np.log(n + 1)
-    log_d_less_x, share = (_log_rows if spread >= LINEAR_SPREAD else _linear_rows)(
-        x, weights, first, last, at, is_self, want_grad)
+    top = x.max(axis=-1, keepdims=True)
+    spread = (top + dist.max(axis=-1, keepdims=True) / tau).max() + np.log(n + 1)
+    rows, x = (_log_rows, x) if spread >= LINEAR_SPREAD else (_linear_rows, x - top)
+    log_d_less_x, share = rows(x, weights, first, last, at, is_self, want_grad)
     # d >= exp(x[a, p]) because p sits in its own denominator with weight 1;
     # rounding in (1 - lam) + lam may undercut that by an ulp
     terms = np.maximum(log_d_less_x, 0.0)
@@ -189,14 +190,14 @@ def _tie_groups(theta):
             np.repeat(starts + sizes - 1, sizes).reshape(theta.shape))
 
 
-def _linear_rows(x, weights, first, last, at, is_self, want_grad):
+def _linear_rows(z, weights, first, last, at, is_self, want_grad):
     """Rows of log d - x and, with `want_grad`, of each member's share
     exp(x) w / d summed over the denominators holding it, summed in linear
-    space. x and the flat row offsets `at` are per view, (m, g, B) and
-    (m, g, 1); the weights and tie groups per label row, (m, 1, B)."""
+    space from z = x less its row's largest value. z and the flat row
+    offsets `at` are per view, (m, g, B) and (m, g, 1); the weights and tie
+    groups per label row, (m, 1, B)."""
     own, at_first, at_last = weights
-    n = x.shape[-1]
-    z = x - x.max(axis=-1, keepdims=True)
+    n = z.shape[-1]
     z.ravel()[is_self] = 0.0  # finite, so exp keeps to its vector path
     e = np.exp(z)
     e.ravel()[is_self] = 0.0

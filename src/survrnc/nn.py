@@ -18,14 +18,6 @@ ADAM_EPS = 1e-8
 _ACTIVATIONS = ("relu", "tanh")
 
 
-class ShapeMismatchError(ValueError):
-    pass
-
-
-class TapeMismatchError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class MlpSpec:
     """Layer widths from input to embedding, activation, and init seed."""
@@ -52,12 +44,11 @@ class ModelParams:
 
 @dataclass
 class Tape:
-    """Intermediates of one forward pass, enough to run backward."""
+    """Each layer's input in one forward pass, enough to run backward: the
+    network input, then each hidden layer's activation."""
 
     spec: MlpSpec
-    inputs: np.ndarray
-    pre_activations: list[np.ndarray]
-    activations: list[np.ndarray]  # post-activation of each hidden layer
+    layer_inputs: list[np.ndarray]
 
 
 def init_params(spec: MlpSpec) -> ModelParams:
@@ -77,9 +68,11 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return np.tanh(z)
 
 
-def _activate_grad(z: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(post: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative, from its output: relu(z) > 0 exactly
+    when z > 0, and tanh' = 1 - tanh^2."""
     if kind == "relu":
-        return (z > 0).astype(float)
+        return (post > 0).astype(float)
     return 1.0 - post * post
 
 
@@ -90,20 +83,13 @@ def forward(params: ModelParams, inputs: np.ndarray):
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.spec.layer_widths[0]:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"expected (B, {params.spec.layer_widths[0]}) inputs, got {x.shape}")
-    pre, post = [], []
-    h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
-        pre.append(z)
-        if i < last:
-            h = _activate(z, params.spec.activation)
-            post.append(h)
-        else:
-            h = z
-    return h, Tape(params.spec, x, pre, post)
+    layer_inputs = [x]
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        layer_inputs.append(_activate(layer_inputs[-1] @ w.T + b, params.spec.activation))
+    out = layer_inputs[-1] @ params.weights[-1].T + params.biases[-1]
+    return out, Tape(params.spec, layer_inputs)
 
 
 def backward(params: ModelParams, tape: Tape, upstream: np.ndarray):
@@ -114,22 +100,18 @@ def backward(params: ModelParams, tape: Tape, upstream: np.ndarray):
     """
     g = np.asarray(upstream, dtype=float)
     if tape.spec is not params.spec and tape.spec != params.spec:
-        raise TapeMismatchError("tape was recorded with a different spec")
-    if g.shape != tape.pre_activations[-1].shape:
-        raise TapeMismatchError(
-            f"upstream shape {g.shape} does not match output "
-            f"{tape.pre_activations[-1].shape}")
-    weight_grads = [np.empty(0)] * len(params.weights)
-    bias_grads = [np.empty(0)] * len(params.biases)
-    for i in range(len(params.weights) - 1, -1, -1):
-        layer_in = tape.inputs if i == 0 else tape.activations[i - 1]
-        weight_grads[i] = g.T @ layer_in
+        raise ValueError("tape was recorded with a different spec")
+    out_shape = (len(tape.layer_inputs[0]), params.spec.layer_widths[-1])
+    if g.shape != out_shape:
+        raise ValueError(f"upstream shape {g.shape} does not match output {out_shape}")
+    n = len(params.weights)
+    weight_grads, bias_grads = [None] * n, [None] * n
+    for i in reversed(range(n)):
+        weight_grads[i] = g.T @ tape.layer_inputs[i]
         bias_grads[i] = g.sum(axis=0)
         g = g @ params.weights[i]
         if i > 0:
-            g = g * _activate_grad(tape.pre_activations[i - 1],
-                                   tape.activations[i - 1],
-                                   params.spec.activation)
+            g = g * _activate_grad(tape.layer_inputs[i], params.spec.activation)
     return weight_grads, bias_grads, g
 
 
@@ -192,9 +174,9 @@ def params_from_dict(data: dict) -> ModelParams:
     biases = [np.array(b, dtype=float) for b in data["biases"]]
     outs = spec.layer_widths[1:]
     if [w.shape for w in weights] != list(zip(outs, spec.layer_widths[:-1])):
-        raise ShapeMismatchError("checkpoint weights do not match spec")
+        raise ValueError("checkpoint weights do not match spec")
     if [b.shape for b in biases] != [(out,) for out in outs]:
-        raise ShapeMismatchError("checkpoint biases do not match spec")
+        raise ValueError("checkpoint biases do not match spec")
     if not all(np.isfinite(p).all() for p in weights + biases):
         raise ValueError("checkpoint parameters contain NaN or infinity")
     return ModelParams(spec, weights, biases)

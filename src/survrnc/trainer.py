@@ -305,7 +305,8 @@ def train(dataset: Dataset, cfg: TrainConfig):
     returned; the best epoch by validation CI is only noted in history.
     Tiny datasets degrade gracefully: batch_size is clamped to the train
     split, an empty validation split falls back to the train split, and a
-    validation split with no comparable pair records CI 0.5.
+    validation split with no comparable pair records CI 0.5. A training
+    split with no uncensored time above 0 raises `ValidationError`.
     """
     _settle_allocator()
     features, events, times = (dataset.feature_matrix(), dataset.events(),

@@ -596,9 +596,6 @@ class TestInputErrors:
             "CalibrationFailedError", "CheckpointError", "FeatureMismatchError",
             "NonFiniteLossError", "NoComparablePairsError", "UndefinedAtHorizonError",
             "TooFewUncensoredError"}
-        for defect in (nn.ShapeMismatchError, nn.TapeMismatchError,
-                       heads.BinWidthMismatchError):
-            assert defect in classes and not issubclass(defect, InputError)
 
     @pytest.mark.parametrize("command, argv", [
         ("train", "train --data {data} --seed 0 --out-dir {out}"),
@@ -665,6 +662,32 @@ class TestDivergedRuns:
                   *flags.split()])
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"survrnc: error: {message}\n"
+        assert not out.exists()
+
+
+class TestNoPositiveEventTime:
+    """A training split whose uncensored times are all 0 gives the time grid
+    no cut: one error line, exit status 2 and no output file."""
+
+    ALL_AT_ZERO = "a,0,1,0.5\nb,0,1,0.1\nc,3,0,0.2\nd,4,0,0.3\ne,0,1,0.9\nf,5,0,0.4\n"
+    ONE_LATE = "a,0,1,0.5\nb,0,1,0.1\nc,0,1,0.2\nd,0,1,0.3\ne,5,1,0.9\nf,5,0,0.4\ng,6,0,0.7\n"
+
+    @pytest.mark.parametrize("rows, seed", [(ALL_AT_ZERO, 0), (ONE_LATE, 10),
+                                            (ONE_LATE, 11), (ONE_LATE, 30)],
+                             ids=["all_at_zero", "one_late-10", "one_late-11", "one_late-30"])
+    @pytest.mark.parametrize("command, out_flag", [("train", "--out-dir"),
+                                                   ("lambda-sweep", "--out")])
+    def test_one_error_line(self, tmp_path, capsys, rows, seed, command, out_flag):
+        if rows == self.ONE_LATE:  # its one event at time 5 is held out
+            assert 4 in trainer.stratified_split(np.array([1, 1, 1, 1, 1, 0, 0]), seed)[1]
+        data, out = tmp_path / "data.csv", tmp_path / "out"
+        data.write_text("id,time,event,x1\n" + rows)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(data), "--seed", str(seed), out_flag, str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "survrnc: error: NoPositiveEventTime(<dataset>): no uncensored patient "
+            "in the training split has a time above 0\n")
         assert not out.exists()
 
 

@@ -209,6 +209,15 @@ class TestDiscretizeTime:
     def test_censored_times_ignored(self):
         assert cuts([10.0, 20.0, 999.0], [1, 1, 0], 2) == [10.0, 20.0]
 
+    @pytest.mark.parametrize("times, events", [
+        ([0.0, 0.0, 3.0], [1, 1, 0]),  # every event at time 0
+        ([2.0, 3.0], [0, 0]),  # no event
+    ])
+    def test_no_event_time_above_zero_is_a_validation_error(self, times, events):
+        with pytest.raises(ValidationError) as info:
+            cuts(times, events, 2)
+        assert info.value.codes() == {"NoPositiveEventTime"}
+
     def test_order_invariance(self):
         times = [13.0, 2.0, 8.0, 21.0, 5.0, 34.0, 1.0, 55.0]
         events = [i % 2 for i in range(len(times))]

@@ -1,12 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from survrnc.core import TimeGrid
 from survrnc.heads import (
-    BinWidthMismatchError,
     deephit_loss_and_grad,
     mtlr_loss_and_grad,
     pmf_from_logits,
@@ -114,13 +114,15 @@ class TestMtlrLoss:
         assert both == pytest.approx(np.mean(single), abs=1e-12)
 
     def test_width_mismatch(self):
-        with pytest.raises(BinWidthMismatchError):
+        with pytest.raises(ValueError, match=re.escape(
+                "logits shape (1, 2) is not (B, K+1 = 4)")):
             mtlr_value([[0.0, 0.0]], [1], [1.0], GRID3)
 
     @pytest.mark.parametrize("loss", [mtlr_value, deephit_value])
     @pytest.mark.parametrize("logits", [[[0.0, 0.0]], [0.0] * 4], ids=["width", "1d"])
     def test_logits_must_be_b_by_k_plus_1(self, loss, logits):
-        with pytest.raises(BinWidthMismatchError):
+        with pytest.raises(ValueError, match=re.escape(
+                f"logits shape {np.shape(logits)} is not (B, K+1 = 4)")):
             loss(logits, [1], [1.0], GRID3)
 
     @pytest.mark.parametrize("loss_and_grad", [mtlr_loss_and_grad, deephit_loss_and_grad])
